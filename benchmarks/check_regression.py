@@ -18,17 +18,12 @@ time *shares* (fractions of summed phase self-time, machine-independent
 by construction) against ``--phases-baseline``; a phase whose share
 drifted by more than ``--phase-tolerance`` fails the gate.
 
-``--absint BENCH_absint.json`` gates the branch-and-bound pruning
-report from ``bench_absint_pruning.py``: the pruned sweep must return
-bit-identical optima and avoid at least ``--min-skip`` of the
-exhaustive sweep's cost-model calls. Both figures are deterministic
-counts, so no machine normalization is needed.
-
 ``--comm BENCH_comm.json`` gates the communication-capability pruning
-report from ``bench_comm_pruning.py`` the same way: optima on
-reduction-capable hardware must be bit-identical with the screen on,
-and on reduction-free hardware at least ``--comm-min-skip`` of the
-baseline sweep's cost-model calls must be avoided.
+report from ``bench_comm_pruning.py``: optima on reduction-capable
+hardware must be bit-identical with the screen on, and on
+reduction-free hardware at least ``--comm-min-skip`` of the baseline
+sweep's cost-model calls must be avoided. Both figures are
+deterministic counts, so no machine normalization is needed.
 
 ``--vector BENCH_vector.json`` gates the vector-engine report from
 ``bench_vector.py``: zero parity violations against the scalar engines,
@@ -41,12 +36,6 @@ ratio, so no normalization is needed), and a fallback rate within
 (transposed twins + redundant spellings) must be bit-identical to the
 exhaustive sweep and avoid at least ``--equiv-min-skip`` of its
 cost-model calls.
-
-``--capacity BENCH_capacity.json`` gates the capacity-pruning report
-from ``bench_capacity.py``: both budget settings must be bit-identical
-to the unpruned sweep (point set and optima), and under the
-capacity-constrained budget at least ``--capacity-min-skip`` of the
-baseline sweep's cost-model calls must be avoided.
 
 ``--serve BENCH_serve.json`` gates the serving-layer report from
 ``bench_serve.py``: the sharded server-side DSE front must be
@@ -74,12 +63,12 @@ Usage::
         [--only SUBSTR] \
         [--phases BENCH_obs.json] [--phases-baseline baseline_obs.json] \
         [--phase-tolerance 0.15] \
-        [--absint BENCH_absint.json] [--min-skip 0.30] \
         [--comm BENCH_comm.json] [--comm-min-skip 0.20] \
         [--vector BENCH_vector.json] [--vector-min-speedup 20] \
         [--vector-max-fallback 0.0] \
         [--equiv BENCH_equiv.json] [--equiv-min-skip 0.25] \
-        [--capacity BENCH_capacity.json] [--capacity-min-skip 0.20]
+        [--serve BENCH_serve.json] [--serve-min-hit 0.9] \
+        [--serve-max-p99 1000]
 """
 
 from __future__ import annotations
@@ -164,31 +153,6 @@ def phase_share_failures(
             f"  {verdict:10s}{name}: share {baseline[name]['share']:.1%} -> "
             f"{current[name]['share']:.1%} ({delta:+.1%})"
         )
-    return failures
-
-
-def absint_failures(path: Path, min_skip: float) -> list:
-    """Soundness and effectiveness gate for the symbolic pruning report."""
-    report = load_report(path, "symbolic-pruning")
-    failures = []
-    if not report["bit_identical"]:
-        failures.append(
-            "pruned optima differ from exhaustive (soundness violation)"
-        )
-    skip = report["skip_fraction"]
-    verdict = "ok"
-    if skip < min_skip:
-        verdict = "TOO FEW"
-        failures.append(
-            f"only {skip:.1%} of cost-model calls avoided (need {min_skip:.0%})"
-        )
-    print(
-        f"  {verdict:10s}{report['sweep']}: bit_identical="
-        f"{report['bit_identical']}, {report['calls_avoided']}/"
-        f"{report['baseline_cost_model_calls']} calls avoided ({skip:.1%}), "
-        f"{report['baseline_wall_seconds']:.2f}s -> "
-        f"{report['pruned_wall_seconds']:.2f}s"
-    )
     return failures
 
 
@@ -337,34 +301,6 @@ def equiv_failures(path: Path, min_skip: float) -> list:
     return failures
 
 
-def capacity_failures(path: Path, min_skip: float) -> list:
-    """Soundness and effectiveness gate for the capacity-pruning report."""
-    report = load_report(path, "capacity-pruning")
-    failures = []
-    verdict = "ok"
-    if not report["bit_identical"]:
-        verdict = "MISMATCH"
-        failures.append(
-            "capacity-pruned sweep differs from exhaustive "
-            "(soundness violation)"
-        )
-    skip = report["skip_fraction"]
-    if skip < min_skip:
-        verdict = "TOO FEW"
-        failures.append(
-            f"only {skip:.1%} of cost-model calls avoided under the "
-            f"capacity-constrained budget (need {min_skip:.0%})"
-        )
-    print(
-        f"  {verdict:10s}{report['sweep']}: bit_identical="
-        f"{report['bit_identical']}, {report['calls_avoided']}/"
-        f"{report['baseline_cost_model_calls']} calls avoided ({skip:.1%}), "
-        f"{report['capacity_rejects']} capacity rejects at area budget "
-        f"{report['capped_area_budget']}"
-    )
-    return failures
-
-
 @dataclass(frozen=True)
 class SubsystemGate:
     """One table entry: a ``--<name> REPORT.json`` gate and its options.
@@ -384,25 +320,6 @@ class SubsystemGate:
 
 
 SUBSYSTEM_GATES: Tuple[SubsystemGate, ...] = (
-    SubsystemGate(
-        name="absint",
-        metavar="BENCH_absint.json",
-        help="also gate the symbolic-pruning report from bench_absint_pruning.py",
-        heading="symbolic branch-and-bound pruning",
-        label="symbolic-pruning",
-        check=lambda path, args: absint_failures(path, args.min_skip),
-        options=(
-            (
-                "--min-skip",
-                dict(
-                    type=float,
-                    default=0.30,
-                    help="minimum fraction of cost-model calls the pruning "
-                    "must avoid",
-                ),
-            ),
-        ),
-    ),
     SubsystemGate(
         name="comm",
         metavar="BENCH_comm.json",
@@ -506,27 +423,7 @@ SUBSYSTEM_GATES: Tuple[SubsystemGate, ...] = (
             ),
         ),
     ),
-    SubsystemGate(
-        name="capacity",
-        metavar="BENCH_capacity.json",
-        help="also gate the capacity-bound pruning parity + effectiveness "
-        "report from bench_capacity.py",
-        heading="capacity-bound pruning",
-        label="capacity-pruning",
-        check=lambda path, args: capacity_failures(path, args.capacity_min_skip),
-        options=(
-            (
-                "--capacity-min-skip",
-                dict(
-                    type=float,
-                    default=0.20,
-                    help="minimum fraction of cost-model calls capacity "
-                    "pruning must avoid under the capacity-constrained "
-                    "budget (default 0.20)",
-                ),
-            ),
-        ),
-    ),
+
 )
 
 

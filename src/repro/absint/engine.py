@@ -3,16 +3,17 @@
 The interval counterpart of :func:`repro.engines.analyze_layer`,
 parametric over *both* the layer shape (a :class:`ShapeBox`) and the
 hardware point (a :class:`HardwareBox` with interval PE count and NoC
-bandwidth). One engine therefore serves the two consumers the paper's
-analytical framing motivates:
+bandwidth). Its consumers:
 
 - **shape-range certification** (``DF2xx`` lint rules, ``analyze
   --symbolic``): concrete hardware, interval shapes — one pass proves a
   buffer-fit or bandwidth property for an entire layer family;
-- **design-space pruning** (branch-and-bound in ``dse``/``tuner``):
-  concrete shape, interval hardware — interval bounds on runtime /
-  energy / buffer requirements discard whole grid regions before any
-  concrete cost-model call.
+- **interval dominance** (the ``DF403`` lint): worst-versus-best bounds
+  certify that one mapping beats another on every member of a box.
+
+It is not a design-space screen: a branch-and-bound over interval
+hardware regions cost far more wall time than the vectorized
+evaluations it skipped.
 
 Soundness contract (the property ``tests/test_absint.py`` fuzzes): for
 every concrete ``(layer, accelerator)`` drawn from the boxes on which

@@ -19,8 +19,12 @@ Consumers:
 
 - DF500-DF504 lints (:mod:`repro.lint.rules`) with fix-its;
 - ``repro analyze --capacity`` / ``repro lint --capacity`` views;
-- sound ``--capacity-prune`` for ``dse``/``tune``/``serve``
-  (:mod:`repro.capacity.prune`), bit-identical optima guaranteed.
+- ``repro verify --capacity`` (:func:`crosscheck_capacity`).
+
+The bounds are not a search screen: pre-screening DSE or tuner
+candidates against them cost more wall time than the vectorized
+evaluations it skipped, so the search loops size buffers from the
+evaluated reports instead.
 """
 
 from repro.capacity.bounds import (
@@ -35,7 +39,6 @@ from repro.capacity.crosscheck import (
     capacity_corpus,
     crosscheck_capacity,
 )
-from repro.capacity.prune import capacity_requirements
 from repro.capacity.report import (
     capacity_rows,
     render_capacity_summary,
@@ -54,7 +57,6 @@ __all__ = [
     "LevelOccupancy",
     "RooflineCertificate",
     "capacity_corpus",
-    "capacity_requirements",
     "capacity_rows",
     "classify_roofline",
     "compute_capacity_bounds",

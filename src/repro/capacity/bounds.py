@@ -14,9 +14,7 @@ margin against the simulator walk (see
 
 Monotonicity: every bound is a sum of products of per-dimension clamped
 tile extents (times density), so enlarging any directive size — holding
-the layer fixed — never shrinks a bound. The DSE/tuner capacity screens
-(:mod:`repro.capacity.prune`) rely on this to discard whole grid
-sub-regions soundly.
+the layer fixed — never shrinks a bound.
 """
 
 from __future__ import annotations

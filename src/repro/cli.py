@@ -27,12 +27,10 @@ Subcommands:
 - ``validate`` — compare the analytical model against the reference
   simulator on a layer;
 - ``dse`` — run a small hardware design-space exploration for a layer
-  (``--symbolic-prune`` turns on the sound interval branch-and-bound;
-  ``--comm-prune`` with ``--no-spatial-reduction`` skips mappings the
+  (``--comm-prune`` with ``--no-spatial-reduction`` skips mappings the
   communication classifier proves write-racy on that hardware);
 - ``tune`` — search the auto-tuner's template space for a layer
-  (``--symbolic-prune`` screens buffer-cap violations symbolically,
-  ``--comm-prune`` screens DF300 write-races on reduction-free
+  (``--comm-prune`` screens DF300 write-races on reduction-free
   hardware);
 - ``profile`` — trace one layer's analysis (and optionally simulation)
   through the observability subsystem and print/write the span tree,
@@ -601,12 +599,10 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         executor=args.executor,
         jobs=args.jobs,
         cache=args.cache,
-        symbolic_prune=args.symbolic_prune,
         spatial_reduction=not args.no_spatial_reduction,
         noc_multicast=not args.no_multicast,
         comm_prune=args.comm_prune,
         equiv_prune=args.equiv_prune,
-        capacity_prune=args.capacity_prune,
     )
     stats = result.statistics
     print(
@@ -614,9 +610,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         f"{stats.pruned} pruned, {stats.static_rejects} lint-rejected, "
         f"{stats.coverage_rejects} coverage-refuted, "
         f"{stats.comm_rejects} comm-race pruned, "
-        f"{stats.capacity_rejects} capacity pruned, "
-        f"{stats.symbolic_rejects} symbolically infeasible, "
-        f"{stats.bnb_pruned} branch-and-bound pruned, "
         f"{stats.equiv_replays} equivalence-replayed, "
         f"{stats.cost_model_calls} cost-model calls, "
         f"{stats.cache_hits} cache hits, executor={stats.executor}) in "
@@ -668,10 +661,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         max_l1_bytes=args.max_l1,
         max_l2_bytes=args.max_l2,
         verify_coverage=args.verify_coverage,
-        symbolic_prune=args.symbolic_prune,
         comm_prune=args.comm_prune,
         equiv_prune=args.equiv_prune,
-        capacity_prune=args.capacity_prune,
         executor=args.executor,
         jobs=args.jobs,
         cache=args.cache,
@@ -696,9 +687,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         f"rejected {result.rejected} candidates "
         f"({result.statically_rejected} by the static analyzer, "
         f"{result.coverage_rejected} coverage-refuted, "
-        f"{result.comm_rejected} comm-race screened, "
-        f"{result.capacity_rejected} capacity screened, "
-        f"{result.symbolic_rejected} symbolically over buffer caps); "
+        f"{result.comm_rejected} comm-race screened); "
         f"{result.equiv_replayed} equivalence-replayed; "
         f"{result.cache_hits} cost-model answers served from cache"
     )
@@ -808,14 +797,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "refutes (proven missed/double-counted MACs)",
         )
 
-    def add_symbolic_prune(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--symbolic-prune",
-            action="store_true",
-            help="soundly skip cost-model calls using interval bounds from "
-            "the symbolic abstract interpreter (optima are bit-identical)",
-        )
-
     def add_comm_caps(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--no-spatial-reduction",
@@ -847,15 +828,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             help="evaluate one representative per canonical-form "
             "equivalence class and replay its result to the symmetric "
             "twins (repro.equiv; optima are bit-identical)",
-        )
-
-    def add_capacity_prune(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--capacity-prune",
-            action="store_true",
-            help="soundly skip cost-model calls using the certified "
-            "occupancy bounds from the static capacity analyzer "
-            "(repro.capacity; optima are bit-identical)",
         )
 
     def add_backend(p: argparse.ArgumentParser) -> None:
@@ -1060,11 +1032,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_dse.add_argument("--max-pes", type=int, default=512)
     p_dse.add_argument("--pe-step", type=int, default=8)
     add_verify_coverage(p_dse)
-    add_symbolic_prune(p_dse)
     add_comm_caps(p_dse)
     add_comm_prune(p_dse)
     add_equiv_prune(p_dse)
-    add_capacity_prune(p_dse)
     add_backend(p_dse)
     add_obs(p_dse)
     p_dse.set_defaults(func=_cmd_dse)
@@ -1091,10 +1061,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_hw(p_tune)
     add_comm_caps(p_tune)
     add_verify_coverage(p_tune)
-    add_symbolic_prune(p_tune)
     add_comm_prune(p_tune)
     add_equiv_prune(p_tune)
-    add_capacity_prune(p_tune)
     add_backend(p_tune)
     add_obs(p_tune)
     p_tune.set_defaults(func=_cmd_tune)

@@ -44,19 +44,13 @@ class DSEStatistics:
     ``cost_model_calls`` counts the points that needed a cost-model
     answer — memoized (``cache_hits``) or freshly evaluated (including
     evaluations that were rejected by binding) — so the lint pruning win
-    stays measurable with the cache on. With ``symbolic_prune`` two more
-    buckets appear: ``symbolic_rejects`` (points in hardware regions the
-    abstract interpreter proved over-budget — they could never become
-    valid designs) and ``bnb_pruned`` (points in regions whose interval
-    bounds are dominated by the running incumbents on *all* objectives —
-    they could never become an optimum). With ``equiv_prune``,
+    stays measurable with the cache on. With ``equiv_prune``,
     ``equiv_replays`` counts grid points satisfied by replaying an
     equivalent candidate's outcome instead of a cost-model call. The
     sweep invariant checked by :func:`explore`::
 
         explored == space.size
-        cost_model_calls + pruned + symbolic_rejects + bnb_pruned
-            + equiv_replays == explored
+        cost_model_calls + pruned + equiv_replays == explored
         evaluated <= cost_model_calls  (failures are the difference)
     """
 
@@ -71,12 +65,6 @@ class DSEStatistics:
     cache_hits: int = 0
     executor: str = "serial"
     eval_wall_seconds: float = 0.0
-    #: Points inside hardware regions the symbolic branch-and-bound
-    #: proved infeasible (interval lower-bound area/power over budget).
-    symbolic_rejects: int = 0
-    #: Points inside hardware regions dominated by the incumbents on
-    #: every objective simultaneously (interval upper/lower bounds).
-    bnb_pruned: int = 0
     #: Points whose mapping the communication classifier proved to race
     #: (spatially mapped reduction on reduction-free hardware) under
     #: ``comm_prune``; zero whenever the hardware supports reduction.
@@ -85,11 +73,6 @@ class DSEStatistics:
     #: outcome (``equiv_prune``): same canonical key at the same grid
     #: point, so the cost model's answer is provably identical.
     equiv_replays: int = 0
-    #: Points whose requirement-sized design provably busts the budget
-    #: (``capacity_prune``): the static occupancy bounds reproduce the
-    #: engine's buffer requirements bit-for-bit, so the fold-time
-    #: area/power rejection is decided before any cost-model call.
-    capacity_rejects: int = 0
 
     @property
     def effective_rate(self) -> float:
@@ -128,13 +111,10 @@ def explore(
     executor: str = "auto",
     jobs: Optional[int] = None,
     cache: Union[bool, AnalysisCache, None] = True,
-    symbolic_prune: bool = False,
-    symbolic_block: int = 8,
     spatial_reduction: bool = True,
     noc_multicast: bool = True,
     comm_prune: bool = False,
     equiv_prune: bool = False,
-    capacity_prune: bool = False,
 ) -> DSEResult:
     """Sweep ``space`` for ``layer`` under the given budgets.
 
@@ -162,22 +142,6 @@ def explore(
     (:mod:`repro.vector`); pruning passes compose with it by shrinking
     the groups before they reach the backend.
 
-    With ``symbolic_prune`` the sweep runs a sound branch-and-bound over
-    the hardware grid: candidates are grouped into regions of up to
-    ``symbolic_block`` consecutive PE counts per (variant, bandwidth),
-    each region is abstract-interpreted once with the PE count as an
-    interval (:mod:`repro.absint`), and the region is discarded without
-    any cost-model call when either (a) its interval *lower-bound*
-    area/power already busts the budget — no point inside could become
-    a valid design — or (b) its interval bounds are beaten by the
-    running incumbents on throughput, energy, *and* EDP simultaneously
-    — no point inside could become an optimum. Because the interval
-    bounds enclose every concrete outcome in the region (and dominance
-    is strict), the three reported optima are bit-identical to the
-    exhaustive sweep; only the Pareto set may lose dominated interior
-    points. Regions the abstract engine cannot certify (partial binding
-    failures) are never pruned.
-
     ``spatial_reduction`` and ``noc_multicast`` set the communication
     capabilities of every swept accelerator (the Table 5 switches). With
     ``comm_prune`` on *reduction-free* hardware
@@ -203,31 +167,15 @@ def explore(
     bit-identical, so every replayed outcome is provably equal to what
     the cost model would have returned and all optima are bit-identical
     to the unquotiented sweep. Variants the analyzer cannot certify fall
-    back to raw-spelling identity and are never grouped beyond it. The
-    quotient applies to the exhaustive sweep; under ``symbolic_prune``
-    the branch-and-bound's region machinery takes precedence and the
-    quotient is not applied.
+    back to raw-spelling identity and are never grouped beyond it.
 
-    With ``capacity_prune`` each surviving candidate is screened by the
-    static occupancy analyzer (:mod:`repro.capacity`) before entering
-    the cost model: the analyzer reproduces the engine's buffer
-    requirements bit-for-bit from the binding alone, so the
-    requirement-sized design's area/power — exactly what ``fold_point``
-    checks after evaluation — is known up front, and points that would
-    be folded away are rejected (``capacity_rejects``) without a
-    cost-model call. Because the decision replicates the fold check on
-    identical values, the valid set, Pareto front, and optima are
-    bit-identical with or without the screen. Two monotonicity facts
-    let one rejection discard whole sub-regions: area/power grow with
-    NoC bandwidth (a reject at the smallest bandwidth rejects the row)
-    and with PE count while the L2 requirement never shrinks with it
-    (a smallest-bandwidth reject covers every larger array for the same
-    variant). Candidates whose bounds cannot be certified are never
-    pruned.
+    There is no symbolic (interval branch-and-bound) or static-capacity
+    screen: under the vector executor both cost more wall time than the
+    evaluations they skipped, so every surviving candidate goes through
+    one evaluate-and-fold path.
     """
     start = time.perf_counter()
     explored = pruned = static_rejects = coverage_rejects = comm_rejects = 0
-    capacity_rejects = 0
 
     def make_noc(bandwidth: int) -> NoC:
         return NoC(
@@ -293,25 +241,13 @@ def explore(
     # point below by the integer-activity certificate.
     variant_form: dict = {}
     equiv_symmetries: tuple = ()
-    if equiv_prune and not symbolic_prune:
+    if equiv_prune:
         with obs.span("dse.equiv_screen"):
             from repro.equiv import canonicalize, layer_symmetries
 
             equiv_symmetries = layer_symmetries(layer)
             for label, dataflow in space.dataflow_variants:
                 variant_form[(label, dataflow.name)] = canonicalize(dataflow, layer)
-
-    # Capacity screen state: the requirement-sized (l1, l2) per
-    # (variant, PE count) — bandwidth-independent, since the occupancy
-    # bounds never read the NoC — plus, per variant, the smallest PE
-    # count rejected at the minimum bandwidth. Area/power are monotone
-    # in bandwidth and PE count while the L2 requirement never shrinks
-    # with the array, so every point at or above that floor is rejected
-    # without re-binding.
-    capacity_sizes: dict = {}
-    capacity_reject_floor: dict = {}
-    if capacity_prune:
-        from repro.capacity import capacity_requirements
 
     # ------------------------------------------------------------------
     # Phase 1 — enumerate: classify every grid point as budget-pruned,
@@ -354,53 +290,6 @@ def explore(
                         pruned += 1
                         comm_rejects += 1
                         continue
-                    if capacity_prune:
-                        floor = capacity_reject_floor.get((label, dataflow.name))
-                        if floor is not None and num_pes >= floor:
-                            # Rejected at (floor, min_bw): area/power are
-                            # monotone in PEs and bandwidth, L1 is
-                            # PE-independent, and L2 never shrinks as the
-                            # array grows, so this point busts the budget
-                            # too — even without re-binding.
-                            pruned += 1
-                            capacity_rejects += 1
-                            continue
-                        size_key = (label, dataflow.name, num_pes)
-                        if size_key not in capacity_sizes:
-                            capacity_sizes[size_key] = capacity_requirements(
-                                dataflow,
-                                layer,
-                                Accelerator(
-                                    num_pes=num_pes,
-                                    noc=make_noc(bandwidth),
-                                    spatial_reduction=spatial_reduction,
-                                ),
-                            )
-                        sizes = capacity_sizes[size_key]
-                        if sizes is not None:
-                            sized = Accelerator(
-                                num_pes=num_pes,
-                                l1_size=sizes[0],
-                                l2_size=sizes[1],
-                                noc=make_noc(bandwidth),
-                                spatial_reduction=spatial_reduction,
-                            )
-                            if (
-                                area_model.area(sized) > area_budget
-                                or area_model.power(sized) > power_budget
-                            ):
-                                pruned += 1
-                                capacity_rejects += 1
-                                if bandwidth == min_bw:
-                                    capacity_reject_floor[
-                                        (label, dataflow.name)
-                                    ] = min(
-                                        capacity_reject_floor.get(
-                                            (label, dataflow.name), num_pes
-                                        ),
-                                        num_pes,
-                                    )
-                                continue
                     candidates.append((num_pes, bandwidth, label, dataflow))
 
     def fold_point(
@@ -435,149 +324,80 @@ def explore(
         )
 
     # ------------------------------------------------------------------
-    # Phase 2 — evaluate the candidates through the batch backend,
-    # either exhaustively or region-by-region under the symbolic
-    # branch-and-bound. Valid points are collected with their original
-    # enumeration index so the final fold order is identical either way.
+    # Phase 2 — evaluate the candidates through the batch backend. Under
+    # equiv_prune, pick one representative per (PEs, bandwidth,
+    # equivalence class); the other members replay its outcome. The
+    # orbit key is used only where the integer-activity certificate
+    # proves transposed twins bit-identical at that PE count.
     # ------------------------------------------------------------------
+    eval_indices = list(range(len(candidates)))
+    replay_of: dict = {}  # candidate index -> representative index
+    if variant_form:
+        from repro.equiv import integral_active, orbit_key
+
+        representatives: dict = {}
+        eval_indices = []
+        for index, (num_pes, bandwidth, label, dataflow) in enumerate(candidates):
+            form = variant_form[(label, dataflow.name)]
+            class_key = form.key
+            if equiv_symmetries and integral_active(form, num_pes):
+                class_key = orbit_key(class_key, equiv_symmetries)
+            group = (num_pes, bandwidth, class_key)
+            representative = representatives.get(group)
+            if representative is None:
+                representatives[group] = index
+                eval_indices.append(index)
+            else:
+                replay_of[index] = representative
+        obs.inc("dse.pruned_by_equiv", len(replay_of))
+    equiv_replays = len(replay_of)
+
     evaluator = BatchEvaluator(executor=executor, jobs=jobs, cache=cache)
-    indexed_points: List[Tuple[int, DesignPoint]] = []
-    evaluated = 0
-    symbolic_rejects = bnb_pruned = 0
-    calls_submitted = cache_hits = 0
-    equiv_replays = 0
-    executor_name = "serial"
-    eval_wall = 0.0
-
-    if not symbolic_prune:
-        # Under equiv_prune, pick one representative per (PEs, bandwidth,
-        # equivalence class); the other members replay its outcome. The
-        # orbit key is used only where the integer-activity certificate
-        # proves transposed twins bit-identical at that PE count.
-        eval_indices = list(range(len(candidates)))
-        replay_of: dict = {}  # candidate index -> representative index
-        if variant_form:
-            from repro.equiv import integral_active, orbit_key
-
-            representatives: dict = {}
-            eval_indices = []
-            for index, (num_pes, bandwidth, label, dataflow) in enumerate(candidates):
-                form = variant_form[(label, dataflow.name)]
-                class_key = form.key
-                if equiv_symmetries and integral_active(form, num_pes):
-                    class_key = orbit_key(class_key, equiv_symmetries)
-                group = (num_pes, bandwidth, class_key)
-                representative = representatives.get(group)
-                if representative is None:
-                    representatives[group] = index
-                    eval_indices.append(index)
-                else:
-                    replay_of[index] = representative
-            equiv_replays = len(replay_of)
-            obs.inc("dse.pruned_by_equiv", equiv_replays)
-
-        with obs.span("dse.evaluate", candidates=len(eval_indices)):
-            batch = evaluator.evaluate(
-                EvalPoint(
-                    layer=layer,
-                    dataflow=candidates[index][3],
-                    accelerator=Accelerator(
-                        num_pes=candidates[index][0],
-                        noc=make_noc(candidates[index][1]),
-                        spatial_reduction=spatial_reduction,
-                    ),
-                    energy_model=energy_model,
-                )
-                for index in eval_indices
+    with obs.span("dse.evaluate", candidates=len(eval_indices)):
+        batch = evaluator.evaluate(
+            EvalPoint(
+                layer=layer,
+                dataflow=candidates[index][3],
+                accelerator=Accelerator(
+                    num_pes=candidates[index][0],
+                    noc=make_noc(candidates[index][1]),
+                    spatial_reduction=spatial_reduction,
+                ),
+                energy_model=energy_model,
             )
-        calls_submitted = batch.stats.submitted
-        cache_hits = batch.stats.cache_hits
-        executor_name = batch.stats.executor
-        eval_wall = batch.stats.wall_seconds
-        outcome_at = dict(zip(eval_indices, batch))
-        with obs.span("dse.fold"):
-            for index, (num_pes, bandwidth, label, dataflow) in enumerate(candidates):
-                outcome = outcome_at.get(index)
-                replayed = outcome is None
-                if replayed:
-                    outcome = outcome_at[replay_of[index]]
-                if not outcome.ok:
-                    continue
-                if not replayed:
-                    evaluated += 1
-                point = fold_point(num_pes, bandwidth, label, dataflow, outcome.report)
-                if point is not None:
-                    indexed_points.append((index, point))
-    else:
-        regions = _pe_regions(candidates, symbolic_block)
-        interim = {"throughput": None, "energy": None, "edp": None}
-        with obs.span("dse.bnb", regions=len(regions)):
-            for region in regions:
-                verdict = _region_bounds(
-                    layer,
-                    region,
-                    noc_latency,
-                    area_model,
-                    energy_model,
-                    area_budget,
-                    power_budget,
-                )
-                if verdict is _INFEASIBLE:
-                    symbolic_rejects += len(region)
-                    continue
-                if verdict is not None and _dominated(verdict, interim):
-                    bnb_pruned += len(region)
-                    continue
-                batch = evaluator.evaluate(
-                    EvalPoint(
-                        layer=layer,
-                        dataflow=dataflow,
-                        accelerator=Accelerator(
-                            num_pes=num_pes,
-                            noc=make_noc(bandwidth),
-                            spatial_reduction=spatial_reduction,
-                        ),
-                        energy_model=energy_model,
-                    )
-                    for _, (num_pes, bandwidth, label, dataflow) in region
-                )
-                calls_submitted += batch.stats.submitted
-                cache_hits += batch.stats.cache_hits
-                executor_name = batch.stats.executor
-                eval_wall += batch.stats.wall_seconds
-                for (index, (num_pes, bandwidth, label, dataflow)), outcome in zip(
-                    region, batch
-                ):
-                    if not outcome.ok:
-                        continue
-                    evaluated += 1
-                    point = fold_point(
-                        num_pes, bandwidth, label, dataflow, outcome.report
-                    )
-                    if point is not None:
-                        indexed_points.append((index, point))
-                        _update_leaders(interim, point)
+            for index in eval_indices
+        )
+    outcome_at = dict(zip(eval_indices, batch))
 
     # ------------------------------------------------------------------
-    # Phase 3 — fold the surviving valid points in their original
-    # enumeration order: the leaders are first-achiever-stable, so this
-    # reproduces the exhaustive sweep's optima exactly.
+    # Phase 3 — fold the valid points in enumeration order: the leaders
+    # are first-achiever-stable, so the optima do not depend on which
+    # candidates were replayed or how the backend batched them.
     # ------------------------------------------------------------------
-    indexed_points.sort(key=lambda pair: pair[0])
+    evaluated = 0
     points: List[DesignPoint] = []
     best = {"throughput": None, "energy": None, "edp": None}
-    for _, point in indexed_points:
-        points.append(point)
-        _update_leaders(best, point)
+    with obs.span("dse.fold"):
+        for index, (num_pes, bandwidth, label, dataflow) in enumerate(candidates):
+            outcome = outcome_at.get(index)
+            replayed = outcome is None
+            if replayed:
+                outcome = outcome_at[replay_of[index]]
+            if not outcome.ok:
+                continue
+            if not replayed:
+                evaluated += 1
+            point = fold_point(num_pes, bandwidth, label, dataflow, outcome.report)
+            if point is not None:
+                points.append(point)
+                _update_leaders(best, point)
 
     # The ExploreResult invariant, explicit: every grid point is
-    # accounted for exactly once — budget-pruned, lint-rejected,
-    # symbolically discarded, or answered by the cost model (evaluated
-    # successfully or failed).
+    # accounted for exactly once — budget-pruned, lint-rejected, replayed,
+    # or answered by the cost model (evaluated successfully or failed).
+    calls_submitted = batch.stats.submitted
     failures = calls_submitted - evaluated
-    budget_pruned = (
-        pruned - static_rejects - coverage_rejects - comm_rejects - capacity_rejects
-    )
+    budget_pruned = pruned - static_rejects - coverage_rejects - comm_rejects
     assert explored == space.size, (
         f"enumeration drift: walked {explored} of {space.size} grid points"
     )
@@ -587,18 +407,14 @@ def explore(
         + static_rejects
         + coverage_rejects
         + comm_rejects
-        + capacity_rejects
         + budget_pruned
-        + symbolic_rejects
-        + bnb_pruned
         + equiv_replays
         == space.size
     ), (
         f"statistics drift: evaluated={evaluated} failures={failures} "
         f"static_rejects={static_rejects} coverage_rejects={coverage_rejects} "
-        f"comm_rejects={comm_rejects} capacity_rejects={capacity_rejects} "
-        f"budget_pruned={budget_pruned} symbolic_rejects={symbolic_rejects} "
-        f"bnb_pruned={bnb_pruned} equiv_replays={equiv_replays} "
+        f"comm_rejects={comm_rejects} budget_pruned={budget_pruned} "
+        f"equiv_replays={equiv_replays} "
         f"do not partition the {space.size}-point grid"
     )
 
@@ -607,9 +423,7 @@ def explore(
     obs.inc("dse.mappings_evaluated", evaluated)
     obs.inc("dse.pruned_by_lint", static_rejects)
     obs.inc("dse.pruned_by_verify", coverage_rejects)
-    obs.inc("dse.pruned_by_symbolic", symbolic_rejects + bnb_pruned)
     obs.inc("dse.pruned_by_comm", comm_rejects)
-    obs.inc("dse.pruned_by_capacity", capacity_rejects)
     statistics = DSEStatistics(
         explored=explored,
         evaluated=evaluated,
@@ -619,14 +433,11 @@ def explore(
         static_rejects=static_rejects,
         coverage_rejects=coverage_rejects,
         cost_model_calls=calls_submitted,
-        cache_hits=cache_hits,
-        executor=executor_name,
-        eval_wall_seconds=eval_wall,
-        symbolic_rejects=symbolic_rejects,
-        bnb_pruned=bnb_pruned,
+        cache_hits=batch.stats.cache_hits,
+        executor=batch.stats.executor,
+        eval_wall_seconds=batch.stats.wall_seconds,
         comm_rejects=comm_rejects,
         equiv_replays=equiv_replays,
-        capacity_rejects=capacity_rejects,
     )
     return DSEResult(
         points=tuple(points),
@@ -634,113 +445,6 @@ def explore(
         throughput_optimal=best["throughput"],
         energy_optimal=best["energy"],
         edp_optimal=best["edp"],
-    )
-
-
-#: Region verdict sentinel: every point in the region is over budget.
-_INFEASIBLE = object()
-
-#: One enumerated candidate with its original index.
-_Indexed = Tuple[int, Tuple[int, int, str, object]]
-
-
-def _pe_regions(
-    candidates: "List[Tuple[int, int, str, object]]", block: int
-) -> "List[List[_Indexed]]":
-    """Group candidates into branch-and-bound regions.
-
-    A region holds up to ``block`` candidates that share a bandwidth and
-    a dataflow variant and differ only in PE count (the enumeration is
-    PE-major, so each region's PE counts are increasing). One abstract
-    interpretation with the PE count as an interval then bounds every
-    candidate in the region at once. Regions come back ordered by their
-    first candidate's enumeration index, so incumbents grow in a
-    deterministic order.
-    """
-    grouped: "dict" = {}
-    for index, candidate in enumerate(candidates):
-        _, bandwidth, label, dataflow = candidate
-        key = (bandwidth, label, id(dataflow))
-        blocks = grouped.setdefault(key, [])
-        if not blocks or len(blocks[-1]) >= max(1, block):
-            blocks.append([])
-        blocks[-1].append((index, candidate))
-    regions = [region for blocks in grouped.values() for region in blocks]
-    regions.sort(key=lambda region: region[0][0])
-    return regions
-
-
-def _region_bounds(
-    layer: Layer,
-    region: "List[_Indexed]",
-    noc_latency: int,
-    area_model: AreaModel,
-    energy_model: EnergyModel,
-    area_budget: float,
-    power_budget: float,
-):
-    """Abstract-interpret one region; classify it or return its bounds.
-
-    Returns ``_INFEASIBLE`` when the interval lower-bound area/power of
-    the cheapest configuration in the region already busts the budget
-    (so no point inside can pass the phase-3 check), the region's
-    :class:`~repro.absint.engine.AbstractAnalysis` when bounds are
-    available for the dominance test, or ``None`` when the abstract
-    engine cannot certify the region (it is then evaluated in full —
-    soundness over speed).
-    """
-    from repro.absint.engine import HardwareBox, abstract_analyze
-    from repro.absint.interval import IntervalInt
-    from repro.absint.shapes import ShapeBox
-
-    pes = [candidate[0] for _, candidate in region]
-    bandwidth = region[0][1][1]
-    dataflow = region[0][1][3]
-    try:
-        analysis = abstract_analyze(
-            ShapeBox.from_layer(layer),
-            dataflow,
-            HardwareBox(
-                num_pes=IntervalInt(min(pes), max(pes)),
-                bandwidth=IntervalInt.point(bandwidth),
-                avg_latency=noc_latency,
-            ),
-            energy_model=energy_model,
-        )
-    except Exception:
-        return None
-    if analysis.caveats:
-        return None  # partial binding failures: bounds cover only a subfamily
-    cheapest = Accelerator(
-        num_pes=min(pes),
-        l1_size=max(analysis.l1_buffer_req.lo, 1),
-        l2_size=max(analysis.l2_buffer_req.lo, 1),
-        noc=NoC(bandwidth=bandwidth, avg_latency=noc_latency),
-    )
-    if (
-        area_model.area(cheapest) > area_budget
-        or area_model.power(cheapest) > power_budget
-    ):
-        return _INFEASIBLE
-    return analysis
-
-
-def _dominated(analysis, interim: dict) -> bool:
-    """Whether the incumbents beat the whole region on every objective.
-
-    Strict inequalities keep first-achiever tie-breaking intact: a
-    region containing a point that merely *ties* an incumbent is still
-    evaluated, so the final optima match the exhaustive sweep exactly.
-    """
-    best_tp = interim["throughput"]
-    best_en = interim["energy"]
-    best_edp = interim["edp"]
-    if best_tp is None or best_en is None or best_edp is None:
-        return False
-    return (
-        analysis.throughput.hi < best_tp.throughput
-        and analysis.energy_total.lo > best_en.energy
-        and analysis.edp.lo > best_edp.edp
     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow.dataflow import Dataflow
@@ -46,6 +47,8 @@ from repro.serve.http import HttpError
 #: one HTTP call).
 MAX_PES_CAP = 4096
 MAX_SHARDS = 64
+#: Worker processes one request may ask for: at most one per core.
+MAX_JOBS = os.cpu_count() or 1
 
 JOB_KINDS = ("analyze", "lint", "verify", "dse", "tune")
 
@@ -304,7 +307,6 @@ def validate_dse(doc: Dict[str, Any]) -> Dict[str, Any]:
             "stream",
             "verify_coverage",
             "equiv_prune",
-            "capacity_prune",
             "spatial_reduction",
             "multicast",
         ),
@@ -334,11 +336,10 @@ def validate_dse(doc: Dict[str, Any]) -> Dict[str, Any]:
             default="auto",
             choices=("auto", "serial", "process", "vector"),
         ),
-        "jobs": _get_int(doc, "jobs", default=None, lo=1),
+        "jobs": _get_int(doc, "jobs", default=None, lo=1, hi=MAX_JOBS),
         "stream": _get_bool(doc, "stream", False),
         "verify_coverage": _get_bool(doc, "verify_coverage", False),
         "equiv_prune": _get_bool(doc, "equiv_prune", False),
-        "capacity_prune": _get_bool(doc, "capacity_prune", False),
         "spatial_reduction": _get_bool(doc, "spatial_reduction", True),
         "multicast": _get_bool(doc, "multicast", True),
     }
@@ -385,7 +386,7 @@ def validate_tune(doc: Dict[str, Any]) -> Dict[str, Any]:
             default="auto",
             choices=("auto", "serial", "process", "vector"),
         ),
-        "jobs": _get_int(doc, "jobs", default=None, lo=1),
+        "jobs": _get_int(doc, "jobs", default=None, lo=1, hi=MAX_JOBS),
     }
 
 
@@ -441,7 +442,6 @@ def dse_inputs(norm: Dict[str, Any]) -> Tuple[Layer, DesignSpace, Dict[str, Any]
         "power_budget": norm["power"],
         "verify_coverage": norm["verify_coverage"],
         "equiv_prune": norm["equiv_prune"],
-        "capacity_prune": norm["capacity_prune"],
         "spatial_reduction": norm["spatial_reduction"],
         "noc_multicast": norm["multicast"],
         "executor": norm["executor"],

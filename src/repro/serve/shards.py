@@ -1,9 +1,9 @@
 """Sharded design-space sweeps with anytime Pareto-front updates.
 
 The explorer's enumeration is PE-major and every grid point is folded
-independently (phase 2 of :func:`repro.dse.explorer.explore` has no
-cross-point state outside the leader fold, which is order-restored in
-phase 3). Partitioning the PE axis into contiguous blocks therefore
+independently (:func:`repro.dse.explorer.explore` has no cross-point
+state outside the leader fold, which runs in enumeration order).
+Partitioning the PE axis into contiguous blocks therefore
 yields embarrassingly parallel shards whose *concatenated* point lists
 are exactly the whole-space sweep's point list — the invariant this
 module's bit-identical merge (and the CI parity gate) rests on.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -33,6 +33,11 @@ from repro.exec import AnalysisCache
 from repro.model.layer import Layer
 from repro.util.pareto import pareto_front
 
+#: Every integer counter of :class:`DSEStatistics`: a merged sweep sums
+#: them all, so a counter added to the explorer cannot be dropped here.
+_COUNTER_FIELDS = tuple(
+    field.name for field in fields(DSEStatistics) if field.type in (int, "int")
+)
 
 class SweepCancelled(Exception):
     """Raised when a sharded sweep is cancelled between shards."""
@@ -105,29 +110,13 @@ def merge_shard_results(
     }
     for point in points:
         _update_leaders(best, point)
-    totals = dict(
-        explored=0,
-        evaluated=0,
-        valid=0,
-        pruned=0,
-        static_rejects=0,
-        coverage_rejects=0,
-        cost_model_calls=0,
-        cache_hits=0,
-        symbolic_rejects=0,
-        bnb_pruned=0,
-        comm_rejects=0,
-        equiv_replays=0,
-    )
-    eval_wall = 0.0
-    executors = []
-    for result in results:
-        stats = result.statistics
-        for name in totals:
-            totals[name] += getattr(stats, name)
-        eval_wall += stats.eval_wall_seconds
-        executors.append(stats.executor)
-    executor = executors[0] if len(set(executors)) == 1 else "mixed"
+    totals = {
+        name: sum(getattr(result.statistics, name) for result in results)
+        for name in _COUNTER_FIELDS
+    }
+    eval_wall = sum(result.statistics.eval_wall_seconds for result in results)
+    executors = {result.statistics.executor for result in results}
+    executor = executors.pop() if len(executors) == 1 else "mixed"
     statistics = DSEStatistics(
         elapsed_seconds=elapsed_seconds,
         executor=f"sharded[{len(results)}]/{executor}" if len(results) > 1 else executor,

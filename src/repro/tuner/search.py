@@ -54,11 +54,6 @@ class TunerResult:
     #: (proven missed/double-counted MACs) before evaluation; only
     #: counted when ``verify_coverage`` is enabled.
     coverage_rejected: int = 0
-    #: How many of ``rejected`` the symbolic abstract interpreter
-    #: screened out before evaluation (interval lower bound on a buffer
-    #: requirement already above the cap); only counted when
-    #: ``symbolic_prune`` is enabled and a buffer cap is set.
-    symbolic_rejected: int = 0
     #: How many of ``rejected`` the communication classifier screened
     #: out (spatially mapped reduction on reduction-free hardware —
     #: the DF300 race); only counted when ``comm_prune`` is enabled
@@ -68,11 +63,6 @@ class TunerResult:
     #: candidate's outcome instead of a cost-model call (``equiv_prune``:
     #: same canonical key, provably identical report).
     equiv_replayed: int = 0
-    #: How many of ``rejected`` the static capacity analyzer screened
-    #: out before evaluation (certified peak occupancy bound already
-    #: above a buffer cap — bit-identical to the phase-3 filter); only
-    #: counted when ``capacity_prune`` is enabled and a cap is set.
-    capacity_rejected: int = 0
     #: How many cost-model answers came from the memoization cache
     #: (free on tuner restarts and overlapping candidate grids).
     cache_hits: int = 0
@@ -104,10 +94,8 @@ def tune_layer(
     seed: int = 0,
     static_lint: bool = True,
     verify_coverage: bool = False,
-    symbolic_prune: bool = False,
     comm_prune: bool = False,
     equiv_prune: bool = False,
-    capacity_prune: bool = False,
     executor: str = "auto",
     jobs: Optional[int] = None,
     cache: Union[bool, AnalysisCache, None] = True,
@@ -135,15 +123,6 @@ def tune_layer(
     (``executor="vector"`` batches same-template candidates through the
     whole-grid NumPy engine in :mod:`repro.vector`).
 
-    With ``symbolic_prune`` and a buffer cap
-    (``max_l1_bytes``/``max_l2_bytes``), candidates whose *interval
-    lower bound* on the corresponding buffer requirement — computed by
-    the abstract interpreter (:mod:`repro.absint`) without a cost-model
-    run — already exceeds the cap are rejected up front
-    (``symbolic_rejected``). The bound encloses the concrete
-    requirement, so exactly the candidates phase 3 would reject are
-    screened and the winning candidate is unchanged.
-
     With ``comm_prune`` and an accelerator *without*
     ``reduction_support``, each candidate is classified once by the
     communication analyzer (:mod:`repro.comm`) and rejected when it
@@ -153,15 +132,6 @@ def tune_layer(
     bit-identical with or without the flag; candidates the classifier
     cannot bind or classify are never pruned.
 
-    With ``capacity_prune`` and a buffer cap, each candidate's *exact*
-    peak occupancy bounds — computed by the static capacity analyzer
-    (:mod:`repro.capacity`) without a cost-model run — are compared
-    against the caps up front (``capacity_rejected``). The bounds
-    reproduce the engine's ``l1_buffer_req``/``l2_buffer_req``
-    bit-for-bit, so exactly the candidates phase 3 would reject are
-    screened and the winner is unchanged; candidates whose bounds
-    cannot be certified are never pruned.
-
     With ``equiv_prune`` the surviving candidates are quotiented by the
     equivalence analyzer (:mod:`repro.equiv`): only one representative
     per canonical-form class (extended to the symmetry orbit where the
@@ -170,6 +140,10 @@ def tune_layer(
     report with their own mapping name restored (``equiv_replayed``).
     Every replayed report is provably bit-identical to a fresh
     evaluation, so the scored set — and the winner — are unchanged.
+
+    Buffer caps are applied to the evaluated reports only: a static
+    pre-screen against the caps (symbolic or capacity bounds) cost more
+    wall time than the evaluations it skipped.
     """
     start = time.perf_counter()
     try:
@@ -245,64 +219,6 @@ def tune_layer(
                 if racy:
                     rejected += 1
                     comm_rejected += 1
-                    continue
-                survivors.append((spec, dataflow))
-            runnable = survivors
-
-    capacity_rejected = 0
-    if capacity_prune and (max_l1_bytes is not None or max_l2_bytes is not None):
-        with obs.span("tuner.capacity_screen", candidates=len(runnable)):
-            from repro.capacity import compute_capacity_bounds
-
-            survivors = []
-            peaks: Dict[str, Optional[Tuple[int, int]]] = {}
-            for spec, dataflow in runnable:
-                if dataflow.name not in peaks:
-                    try:
-                        bounds = compute_capacity_bounds(dataflow, layer, accelerator)
-                        peaks[dataflow.name] = (
-                            bounds.l1.peak_bytes,
-                            bounds.l2.peak_bytes,
-                        )
-                    except Exception:
-                        peaks[dataflow.name] = None  # never prune uncertified
-                peak = peaks[dataflow.name]
-                if peak is not None and (
-                    (max_l1_bytes is not None and peak[0] > max_l1_bytes)
-                    or (max_l2_bytes is not None and peak[1] > max_l2_bytes)
-                ):
-                    rejected += 1
-                    capacity_rejected += 1
-                    continue
-                survivors.append((spec, dataflow))
-            runnable = survivors
-
-    symbolic_rejected = 0
-    if symbolic_prune and (max_l1_bytes is not None or max_l2_bytes is not None):
-        with obs.span("tuner.symbolic_screen", candidates=len(runnable)):
-            from repro.absint.engine import HardwareBox, abstract_analyze
-            from repro.absint.shapes import ShapeBox
-
-            box = ShapeBox.from_layer(layer)
-            hw = HardwareBox.from_accelerator(accelerator)
-            survivors = []
-            for spec, dataflow in runnable:
-                try:
-                    analysis = abstract_analyze(
-                        box, dataflow, hw, energy_model=energy_model
-                    )
-                except Exception:
-                    survivors.append((spec, dataflow))  # never prune uncertified
-                    continue
-                if (
-                    max_l1_bytes is not None
-                    and analysis.l1_buffer_req.lo > max_l1_bytes
-                ) or (
-                    max_l2_bytes is not None
-                    and analysis.l2_buffer_req.lo > max_l2_bytes
-                ):
-                    rejected += 1
-                    symbolic_rejected += 1
                     continue
                 survivors.append((spec, dataflow))
             runnable = survivors
@@ -385,9 +301,7 @@ def tune_layer(
     obs.inc("tuner.candidates_evaluated", len(scored))
     obs.inc("tuner.pruned_by_lint", statically_rejected)
     obs.inc("tuner.pruned_by_verify", coverage_rejected)
-    obs.inc("tuner.pruned_by_symbolic", symbolic_rejected)
     obs.inc("tuner.pruned_by_comm", comm_rejected)
-    obs.inc("tuner.pruned_by_capacity", capacity_rejected)
     return TunerResult(
         layer_name=layer.name,
         objective=objective,
@@ -397,10 +311,8 @@ def tune_layer(
         rejected=rejected,
         statically_rejected=statically_rejected,
         coverage_rejected=coverage_rejected,
-        symbolic_rejected=symbolic_rejected,
         comm_rejected=comm_rejected,
         equiv_replayed=equiv_replayed,
-        capacity_rejected=capacity_rejected,
         cache_hits=batch.stats.cache_hits,
         cost_model_calls=batch.stats.submitted,
         elapsed_seconds=time.perf_counter() - start,

@@ -1,8 +1,7 @@
 """The symbolic abstract interpreter: interval domain algebra, point-box
 exactness against the concrete cost model, Hypothesis-driven interval
 soundness over random shape boxes, the DF2xx range-certificate lints,
-the differential cross-check, and the branch-and-bound DSE/tuner
-equivalence guarantees."""
+and the differential cross-check."""
 
 import pytest
 from hypothesis import given, settings
@@ -409,100 +408,3 @@ def test_crosscheck_rejects_foreign_sample():
         crosscheck_abstract(
             box, table3_dataflows()["C-P"], hw, layers=[outsider]
         )
-
-
-# ----------------------------------------------------------------------
-# Branch-and-bound DSE: bit-identical optima, fewer cost-model calls
-# ----------------------------------------------------------------------
-def test_dse_symbolic_prune_matches_exhaustive_optima():
-    """Figure-13 grid: the pruned sweep returns the same three optima
-    while skipping at least 30% of cost-model calls."""
-    from repro.dse.explorer import explore
-    from repro.dse.space import (
-        DesignSpace,
-        default_bandwidths,
-        kc_partitioned_variants,
-    )
-
-    space = DesignSpace(
-        pe_counts=list(range(8, 257, 8)),
-        noc_bandwidths=default_bandwidths(128),
-        dataflow_variants=kc_partitioned_variants(),
-    )
-    exhaustive = explore(
-        LAYER, space, area_budget=16.0, power_budget=450.0, cache=False
-    )
-    pruned = explore(
-        LAYER,
-        space,
-        area_budget=16.0,
-        power_budget=450.0,
-        cache=False,
-        symbolic_prune=True,
-    )
-    assert pruned.throughput_optimal == exhaustive.throughput_optimal
-    assert pruned.energy_optimal == exhaustive.energy_optimal
-    assert pruned.edp_optimal == exhaustive.edp_optimal
-    assert pruned.statistics.explored == exhaustive.statistics.explored
-    skipped = (
-        pruned.statistics.symbolic_rejects + pruned.statistics.bnb_pruned
-    )
-    assert skipped >= 0.30 * exhaustive.statistics.cost_model_calls
-    assert (
-        pruned.statistics.cost_model_calls + skipped
-        == exhaustive.statistics.cost_model_calls
-    )
-    # Every valid pruned point also exists in the exhaustive sweep.
-    exhaustive_points = set(exhaustive.points)
-    assert all(point in exhaustive_points for point in pruned.points)
-
-
-def test_dse_symbolic_prune_infeasible_regions_keep_valid_set():
-    """A tiny budget makes whole regions infeasible; the valid set (not
-    just the optima) must survive identically, because infeasibility
-    pruning only drops points the budget check would reject anyway."""
-    from repro.dse.explorer import explore
-    from repro.dse.space import DesignSpace, kc_partitioned_variants
-
-    space = DesignSpace(
-        pe_counts=[16, 32, 64, 128, 256],
-        noc_bandwidths=[16, 32],
-        dataflow_variants=kc_partitioned_variants(
-            c_tiles=(8,), spatial_tiles=((1, 1),)
-        ),
-    )
-    exhaustive = explore(LAYER, space, area_budget=4.0, power_budget=120.0, cache=False)
-    pruned = explore(
-        LAYER,
-        space,
-        area_budget=4.0,
-        power_budget=120.0,
-        cache=False,
-        symbolic_prune=True,
-        symbolic_block=2,
-    )
-    assert pruned.throughput_optimal == exhaustive.throughput_optimal
-    assert pruned.energy_optimal == exhaustive.energy_optimal
-    assert pruned.edp_optimal == exhaustive.edp_optimal
-
-
-def test_tuner_symbolic_prune_same_winner_and_rejects():
-    from repro.tuner.search import tune_layer
-
-    accelerator = Accelerator(num_pes=64)
-    base = tune_layer(
-        LAYER, accelerator, objective="edp", max_l1_bytes=256, cache=False
-    )
-    pruned = tune_layer(
-        LAYER,
-        accelerator,
-        objective="edp",
-        max_l1_bytes=256,
-        symbolic_prune=True,
-        cache=False,
-    )
-    assert pruned.best.spec == base.best.spec
-    assert pruned.best.score == base.best.score
-    assert pruned.rejected == base.rejected
-    assert pruned.symbolic_rejected > 0
-    assert pruned.cost_model_calls < base.cost_model_calls

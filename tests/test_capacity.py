@@ -1,13 +1,11 @@
 """Tests for the static capacity analyzer (repro.capacity).
 
-Covers the four certified claims the subsystem makes:
+Covers the three certified claims the subsystem makes:
 
 - the closed-form occupancy bounds reproduce the cost engine's buffer
   sizing bit-for-bit (engine parity);
 - the bounds are monotone in the mapping's tile sizes (Hypothesis);
-- the roofline floors never exceed the engine's modeled runtime;
-- capacity-based search pruning is sound — DSE and tuner results are
-  bit-identical with and without the screen.
+- the roofline floors never exceed the engine's modeled runtime.
 
 Plus the DF5xx lint rules and the ``nearest_rule`` suggestion helper.
 """
@@ -160,75 +158,6 @@ class TestCrosscheck:
         report = crosscheck_capacity(kc_partitioned(), layer)
         assert "AGREE" in report.render()
         assert report.to_dict()["ok"] is True
-
-
-class TestDsePruning:
-    """dse --capacity-prune: bit-identical results, fewer cost-model calls."""
-
-    @pytest.fixture(scope="class")
-    def space(self):
-        from repro.dse.space import DesignSpace, kc_partitioned_variants
-
-        return DesignSpace(
-            pe_counts=[16, 32, 64, 128, 256],
-            noc_bandwidths=[4, 16, 64],
-            dataflow_variants=kc_partitioned_variants(
-                c_tiles=(8, 16), spatial_tiles=((1, 1), (4, 4))
-            ),
-        )
-
-    def test_bit_identical_under_tight_budget(self, layer, space):
-        from repro.dse import explore
-
-        base = explore(layer, space, area_budget=3.0, power_budget=1e9)
-        pruned = explore(
-            layer, space, area_budget=3.0, power_budget=1e9, capacity_prune=True
-        )
-        assert base.points == pruned.points
-        assert base.throughput_optimal == pruned.throughput_optimal
-        assert base.energy_optimal == pruned.energy_optimal
-        assert base.edp_optimal == pruned.edp_optimal
-        assert pruned.statistics.capacity_rejects > 0
-        assert (
-            pruned.statistics.cost_model_calls
-            == base.statistics.cost_model_calls
-            - pruned.statistics.capacity_rejects
-        )
-
-    def test_noop_without_flag(self, layer, space):
-        from repro.dse import explore
-
-        result = explore(layer, space, area_budget=3.0, power_budget=1e9)
-        assert result.statistics.capacity_rejects == 0
-
-
-class TestTunerPruning:
-    """tune --capacity-prune: pre-empts the buffer-cap filter exactly."""
-
-    def test_bit_identical_with_caps(self, layer, accelerator):
-        from repro.tuner import tune_layer
-
-        kwargs = dict(max_l1_bytes=2000, max_l2_bytes=2_000_000)
-        base = tune_layer(layer, accelerator, **kwargs)
-        pruned = tune_layer(layer, accelerator, capacity_prune=True, **kwargs)
-        assert base.best.dataflow.name == pruned.best.dataflow.name
-        assert base.best.score == pruned.best.score
-        assert [(c.dataflow.name, c.score) for c in base.top] == [
-            (c.dataflow.name, c.score) for c in pruned.top
-        ]
-        assert base.evaluated == pruned.evaluated
-        assert base.rejected == pruned.rejected
-        assert pruned.capacity_rejected > 0
-        assert (
-            pruned.cost_model_calls
-            == base.cost_model_calls - pruned.capacity_rejected
-        )
-
-    def test_screen_idle_without_caps(self, layer, accelerator):
-        from repro.tuner import tune_layer
-
-        result = tune_layer(layer, accelerator, capacity_prune=True)
-        assert result.capacity_rejected == 0
 
 
 class TestLintRules:

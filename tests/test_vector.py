@@ -259,7 +259,7 @@ def test_malformed_report_fails_with_one_line_error(tmp_path):
     for argv in (
         [str(bad)],
         [str(bench), "--vector", str(bad)],
-        [str(bench), "--absint", str(bad.with_suffix(".missing"))],
+        [str(bench), "--equiv", str(bad.with_suffix(".missing"))],
     ):
         with pytest.raises(SystemExit) as excinfo:
             check.main(argv)
