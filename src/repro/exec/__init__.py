@@ -38,6 +38,7 @@ from repro.exec.backend import (
 from repro.exec.cache import (
     AnalysisCache,
     cache_key,
+    cache_keys,
     canonical_point_payload,
     dataflow_cache_payload,
     default_cache,
@@ -56,6 +57,7 @@ __all__ = [
     "analysis_from_dict",
     "analysis_to_dict",
     "cache_key",
+    "cache_keys",
     "canonical_point_payload",
     "dataflow_cache_payload",
     "default_cache",

@@ -20,7 +20,7 @@ from repro.engines.analysis import analyze_layer
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
 from repro.errors import BindingError, DataflowError
-from repro.exec.cache import AnalysisCache, cache_key, resolve_cache
+from repro.exec.cache import AnalysisCache, cache_key, cache_keys, resolve_cache
 from repro.exec.serialize import EvalOutcome
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -270,13 +270,14 @@ class BatchEvaluator:
 
         # Cache pass: satisfy what we can, remember the miss positions.
         miss_indices: List[int] = []
-        keys: List[Optional[str]] = [None] * len(points)
+        keys: Sequence[Optional[str]] = [None] * len(points)
         equiv_twin_hits = 0
         if self._cache is not None:
             with obs.span("exec.cache_lookup"):
-                for index, point in enumerate(points):
-                    key = point.key()
-                    keys[index] = key
+                keys = cache_keys(
+                    [(p.layer, p.dataflow, p.accelerator, p.energy_model) for p in points]
+                )
+                for index, (point, key) in enumerate(zip(points, keys)):
                     hit = self._cache.get(key)
                     if hit is not None:
                         if (

@@ -23,6 +23,14 @@ evaluation point:
   so any change to the engines invalidates every stale entry
   automatically.
 
+:func:`canonical_point_payload` is the readable specification of that
+payload. Keys are built a batch at a time by :func:`cache_keys`, which
+joins the same JSON text from pieces computed once per (layer, energy
+model), per (dataflow, layer) and per PE count, so a hardware grid pays
+for canonicalization once per mapping rather than once per point; the
+keys are byte-identical to hashing the specification directly.
+:func:`cache_key` is the one-point call of the same builder.
+
 Storage is two-tier: an in-memory LRU (always on) and an optional
 on-disk JSON store, one file per key under
 ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro`` when enabled explicitly),
@@ -39,7 +47,7 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
@@ -185,6 +193,47 @@ def _energy_payload(model: EnergyModel) -> Dict[str, Any]:
     }
 
 
+class _FlowKeyRule:
+    """The dataflow part of the cache key for one ``(dataflow, layer)`` pair.
+
+    Everything the payload needs that does not depend on the PE count —
+    the canonical form, the layer's symmetries, the PE product of the
+    cluster hierarchy — is computed once here; :meth:`payload` then only
+    decides the two PE-dependent questions (is the transposition
+    certified at ``num_pes``, and does the hierarchy exceed it).
+    """
+
+    def __init__(self, dataflow: Dataflow, layer: Layer) -> None:
+        # Deferred: repro.equiv imports repro.exec (its crosscheck).
+        from repro.equiv.canonical import canonicalize
+        from repro.equiv.symmetry import layer_symmetries
+        from repro.util.intmath import prod
+
+        self.name = dataflow.name
+        self.form = canonicalize(dataflow, layer)
+        if self.form.fallback:
+            self.directives = canonical_directives(dataflow, layer)
+            return
+        self.symmetries = layer_symmetries(layer)
+        self.cluster_pes = prod(
+            [level.cluster_size for level in self.form.levels if level.cluster_size is not None]
+        )
+
+    def payload(self, num_pes: int) -> Dict[str, Any]:
+        from repro.equiv.canonical import key_to_json
+        from repro.equiv.symmetry import integral_active, orbit_key
+
+        if self.form.fallback:
+            return {"name": self.name, "directives": self.directives}
+        key = self.form.key
+        if self.symmetries and integral_active(self.form, num_pes):
+            key = orbit_key(key, self.symmetries)
+        payload: Dict[str, Any] = {"key": key_to_json(key)}
+        if self.cluster_pes > num_pes:
+            payload["name"] = self.name  # binding rejects; message names the mapping
+        return payload
+
+
 def dataflow_cache_payload(
     dataflow: Dataflow, layer: Layer, num_pes: int
 ) -> Dict[str, Any]:
@@ -203,27 +252,7 @@ def dataflow_cache_payload(
     carries the first-evaluated twin's name (``error_type``, which sweep
     consumers branch on, is spelling-independent).
     """
-    from repro.equiv.canonical import canonicalize, key_to_json
-    from repro.equiv.symmetry import integral_active, layer_symmetries, orbit_key
-    from repro.util.intmath import prod
-
-    form = canonicalize(dataflow, layer)
-    if form.fallback:
-        return {
-            "name": dataflow.name,
-            "directives": canonical_directives(dataflow, layer),
-        }
-    key = form.key
-    symmetries = layer_symmetries(layer)
-    if symmetries and integral_active(form, num_pes):
-        key = orbit_key(key, symmetries)
-    payload: Dict[str, Any] = {"key": key_to_json(key)}
-    cluster_pes = prod(
-        [level.cluster_size for level in form.levels if level.cluster_size is not None]
-    )
-    if cluster_pes > num_pes:
-        payload["name"] = dataflow.name  # binding rejects; message names the mapping
-    return payload
+    return _FlowKeyRule(dataflow, layer).payload(num_pes)
 
 
 def canonical_point_payload(
@@ -232,7 +261,11 @@ def canonical_point_payload(
     accelerator: Accelerator,
     energy_model: EnergyModel,
 ) -> Dict[str, Any]:
-    """The full canonical description one cache key is hashed from."""
+    """The full canonical description one cache key is hashed from.
+
+    The readable specification of the key: :func:`cache_keys` produces
+    exactly ``sha256`` of this payload's sorted, compact JSON.
+    """
     return {
         "salt": model_version_salt(),
         "layer": _layer_payload(layer),
@@ -242,6 +275,69 @@ def canonical_point_payload(
     }
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building a new encoder on every call (the key is joined from several
+#: texts; the encoder holds no per-call state).
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+#: One key's inputs, in :func:`cache_key`'s argument order.
+KeyPoint = Tuple[Layer, Dataflow, Accelerator, EnergyModel]
+
+
+def cache_keys(points: Sequence[KeyPoint]) -> List[str]:
+    """The cache keys of a batch of points, in input order.
+
+    Each key is ``sha256`` of :func:`canonical_point_payload`'s JSON
+    with sorted keys — ``{"accelerator":…,"dataflow":…,"energy":…,
+    "layer":…,"salt":…}`` — joined from pieces built once at the
+    smallest scope they depend on: the layer/energy/salt text once per
+    (layer, energy model), the canonical form once per (dataflow,
+    layer), the dataflow text once per (dataflow, layer, PE count), the
+    accelerator text once per distinct hardware configuration. Per
+    point one join and one hash remain. Points are keyed one (dataflow,
+    layer) group at a time, so a single canonical form is alive at once.
+    Objects are told apart by ``id``, which is safe because ``points``
+    keeps them alive for the call.
+    """
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for index, (layer, dataflow, _, _) in enumerate(points):
+        groups.setdefault((id(dataflow), id(layer)), []).append(index)
+    tails: Dict[Tuple[int, int], str] = {}
+    # Keyed on the payload's repr, not its value: equality would merge
+    # 2 with 2.0 (or 0.0 with -0.0), which JSON spells differently.
+    hardware_texts: Dict[str, str] = {}
+    keys: List[str] = [""] * len(points)
+    for indices in groups.values():
+        layer, dataflow = points[indices[0]][:2]
+        rule = _FlowKeyRule(dataflow, layer)
+        flow_texts: Dict[int, str] = {}
+        for index in indices:
+            accelerator, energy_model = points[index][2:]
+            flow_text = flow_texts.get(accelerator.num_pes)
+            if flow_text is None:
+                flow_text = _dumps(rule.payload(accelerator.num_pes))
+                flow_texts[accelerator.num_pes] = flow_text
+            tail = tails.get((id(layer), id(energy_model)))
+            if tail is None:
+                # The keys after "dataflow" in sorted order: this object's
+                # text minus its "{" is the end of the point's text.
+                rest = {
+                    "energy": _energy_payload(energy_model),
+                    "layer": _layer_payload(layer),
+                    "salt": model_version_salt(),
+                }
+                tail = tails[(id(layer), id(energy_model))] = "," + _dumps(rest)[1:]
+            hardware = _accelerator_payload(accelerator)
+            spelled = repr(hardware)
+            hardware_text = hardware_texts.get(spelled)
+            if hardware_text is None:
+                hardware_text = hardware_texts[spelled] = _dumps(hardware)
+            text = f'{{"accelerator":{hardware_text},"dataflow":{flow_text}{tail}'
+            keys[index] = hashlib.sha256(text.encode()).hexdigest()
+    return keys
+
+
 def cache_key(
     layer: Layer,
     dataflow: Dataflow,
@@ -249,9 +345,7 @@ def cache_key(
     energy_model: EnergyModel,
 ) -> str:
     """Stable content hash of one (layer, dataflow, hardware) point."""
-    payload = canonical_point_payload(layer, dataflow, accelerator, energy_model)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return cache_keys([(layer, dataflow, accelerator, energy_model)])[0]
 
 
 class AnalysisCache:

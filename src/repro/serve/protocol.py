@@ -47,6 +47,8 @@ from repro.serve.http import HttpError
 #: one HTTP call).
 MAX_PES_CAP = 4096
 MAX_SHARDS = 64
+#: Largest ``max_bandwidth`` of a DSE request: 8x the Fig-13 sweep's 128.
+MAX_BANDWIDTH_CAP = 1024
 #: Worker processes one request may ask for: at most one per core.
 MAX_JOBS = os.cpu_count() or 1
 
@@ -278,10 +280,15 @@ def validate_verify(doc: Dict[str, Any]) -> Dict[str, Any]:
     _, flow_fields = resolve_dataflow(doc)
     if model is not None:
         resolve_layers(model, layer)
+    # Deferred: the verifier package is only needed by verify requests.
+    from repro.verify import DEFAULT_BUDGET
+
+    # A thread cannot be cancelled, so a timed-out request holds its job
+    # slot until the enumeration ends: bound it at the default budget.
     return {
         "model": model,
         "layer": layer,
-        "budget": _get_int(doc, "budget", default=None, lo=1),
+        "budget": _get_int(doc, "budget", default=None, lo=1, hi=DEFAULT_BUDGET),
         **flow_fields,
     }
 
@@ -328,7 +335,9 @@ def validate_dse(doc: Dict[str, Any]) -> Dict[str, Any]:
         "power": _get_float(doc, "power", default=450.0, lo=0.0),
         "max_pes": max_pes,
         "pe_step": pe_step,
-        "max_bandwidth": _get_int(doc, "max_bandwidth", default=128, lo=1),
+        "max_bandwidth": _get_int(
+            doc, "max_bandwidth", default=128, lo=1, hi=MAX_BANDWIDTH_CAP
+        ),
         "shards": _get_int(doc, "shards", default=None, lo=1, hi=MAX_SHARDS),
         "executor": _get_str(
             doc,

@@ -7,6 +7,8 @@ consumers can treat ``executor``/``jobs``/``cache`` as pure performance
 knobs.
 """
 
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -16,12 +18,20 @@ from hypothesis import strategies as st
 from repro.dataflow.dataflow import Dataflow
 from repro.dataflow.directives import (
     ClusterDirective,
+    MapDirective,
     evaluate_size,
     spatial_map,
     temporal_map,
 )
 from repro.dse import explore
-from repro.dse.space import DesignSpace, kc_partitioned_variants
+from repro.dse.space import (
+    DesignSpace,
+    default_bandwidths,
+    default_pe_counts,
+    kc_partitioned_variants,
+    yr_partitioned_variants,
+)
+from repro.equiv import canonicalize, integral_active
 from repro.exec import (
     AnalysisCache,
     BatchEvaluator,
@@ -29,6 +39,7 @@ from repro.exec import (
     analysis_from_dict,
     analysis_to_dict,
     cache_key,
+    cache_keys,
     canonical_point_payload,
     dataflow_cache_payload,
     evaluate_batch,
@@ -43,7 +54,12 @@ from repro.model.layer import conv2d
 from repro.model.network import Network
 from repro.tensors import dims as D
 from repro.tuner.search import tune_layer
-from repro.tuner.templates import SCHEDULES, SPATIAL_DIMS, CandidateSpec
+from repro.tuner.templates import (
+    SCHEDULES,
+    SPATIAL_DIMS,
+    CandidateSpec,
+    enumerate_candidates,
+)
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +357,121 @@ class TestCacheKeyProperties:
         )
         assert payload["salt"] == model_version_salt()
         assert len(model_version_salt()) == 12
+
+
+# ----------------------------------------------------------------------
+# Batch key builder: every key equals the spec, sha256 of the sorted
+# JSON of canonical_point_payload, whatever the batch shares.
+# ----------------------------------------------------------------------
+def _spec_key(layer, dataflow, accelerator, energy_model):
+    payload = canonical_point_payload(layer, dataflow, accelerator, energy_model)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def assert_keys_match_spec(points):
+    keys = cache_keys(points)
+    assert keys == [_spec_key(*point) for point in points]
+    return keys
+
+
+_SQUARE = conv2d("key-square", k=16, c=16, y=14, x=14, r=3, s=3)
+
+
+def _grid(layers, flows, pe_counts, bandwidths=(8,), energy_models=(DEFAULT_ENERGY_MODEL,)):
+    return [
+        (layer, flow, Accelerator(num_pes=pes, noc=NoC(bandwidth=bw)), energy)
+        for layer in layers
+        for flow in flows
+        for pes in pe_counts
+        for bw in bandwidths
+        for energy in energy_models
+    ]
+
+
+def _tuned(name):
+    return next(spec.build() for spec in enumerate_candidates() if spec.build().name == name)
+
+
+class TestBatchKeyIdentity:
+    def test_fig13_grids(self):
+        from repro.model.zoo import build
+
+        vgg16 = build("vgg16")
+        layers = [vgg16.layer("CONV2"), vgg16.layer("CONV11")]
+        variants = kc_partitioned_variants() + yr_partitioned_variants()
+        flows = [flow for _, flow in variants]
+        points = _grid(
+            layers, flows, default_pe_counts(max_pes=512, step=16), default_bandwidths(128)
+        )
+        assert len(set(assert_keys_match_spec(points))) > len(points) // 8
+
+    def test_tuner_candidate_slice(self, layer):
+        flows = [spec.build() for spec in list(enumerate_candidates())[::23]]
+        assert_keys_match_spec(_grid([layer, _SQUARE], flows, (12, 16, 24, 64)))
+
+    def test_fallback_spelling(self, layer):
+        duplicate = Dataflow(
+            name="dup",
+            directives=(
+                MapDirective(dim="K", size=2, offset=2, spatial=False),
+                MapDirective(dim="K", size=4, offset=4, spatial=False),
+            ),
+        )
+        assert canonicalize(duplicate, layer).fallback
+        keys = assert_keys_match_spec(_grid([layer], [duplicate], (16, 64)))
+        assert dataflow_cache_payload(duplicate, layer, 16)["name"] == "dup"
+        assert len(set(keys)) == 2
+
+    def test_transpose_certificate_flips_within_batch(self):
+        flow = _tuned("tuned-KCx8-reduction-c1k1y1x1")
+        form = canonicalize(flow, _SQUARE)
+        assert integral_active(form, 16) and integral_active(form, 24) is False
+        assert dataflow_cache_payload(flow, _SQUARE, 16) != dataflow_cache_payload(
+            flow, _SQUARE, 24
+        )
+        assert_keys_match_spec(_grid([_SQUARE], [flow], (12, 16, 24, 48, 64), (4, 8)))
+
+    def test_cluster_larger_than_pes_names_the_mapping(self):
+        flow = _tuned("tuned-KCx32-reduction-c1k1y1x1")
+        assert dataflow_cache_payload(flow, _SQUARE, 16)["name"] == flow.name
+        assert "name" not in dataflow_cache_payload(flow, _SQUARE, 64)
+        assert_keys_match_spec(_grid([_SQUARE], [flow], (16, 64)))
+
+    def test_equivalent_spellings_with_different_names(self, layer):
+        from repro.dataflow.library import kc_partitioned
+
+        flow = kc_partitioned(c_tile=8)
+        twin = _renamed(_concrete_spelling(flow, layer), "twin")
+        keys = assert_keys_match_spec(_grid([layer], [flow, twin], (16, 64)))
+        assert keys[:2] == keys[2:]
+
+    def test_equal_hardware_spelled_differently(self, layer):
+        from repro.dataflow.library import kc_partitioned
+
+        flow = kc_partitioned(c_tile=8)
+        spellings = [NoC(bandwidth=8, avg_latency=v) for v in (2, 2.0, 0.0, -0.0)]
+        assert spellings[0] == spellings[1] and spellings[2] == spellings[3]
+        points = [
+            (layer, flow, Accelerator(num_pes=16, noc=noc), DEFAULT_ENERGY_MODEL)
+            for noc in spellings
+        ]
+        assert len(set(assert_keys_match_spec(points))) == 4
+
+    def test_memo_is_per_dataflow_and_layer(self, layer):
+        from repro.dataflow.library import kc_partitioned
+        from repro.hardware.energy import EnergyModel
+
+        flow = kc_partitioned(c_tile=8)
+        other = conv2d("key-other", k=32, c=4, y=10, x=10, r=5, s=5)
+        assert dataflow_cache_payload(flow, layer, 16) != dataflow_cache_payload(
+            flow, other, 16
+        )
+        energy_models = (DEFAULT_ENERGY_MODEL, EnergyModel(dram=100.0))
+        points = _grid([layer, other], [flow], (16, 64), energy_models=energy_models)
+        keys = assert_keys_match_spec(points)
+        assert len(set(keys)) == len(points)
+        assert keys == [cache_key(*point) for point in points]
 
 
 # ----------------------------------------------------------------------

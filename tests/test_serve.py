@@ -17,6 +17,7 @@ from repro.serve import (
     protocol,
 )
 from repro.serve.http import HttpError
+from repro.verify import DEFAULT_BUDGET
 
 #: The deleted capacity screen's dse switch, assembled from parts so a
 #: source search for the removed name finds no live use of it.
@@ -120,6 +121,28 @@ class TestValidation:
             assert field in excinfo.value.message
             statuses[field] = excinfo.value.status
         assert statuses["jobs"] == statuses[other_field] == 400
+
+    @pytest.mark.parametrize(
+        "kind, job, field, cap, other_out_of_range",
+        [
+            ("verify", dict(dataflow="KC-P"), "budget", DEFAULT_BUDGET, dict(budget=0)),
+            (
+                "dse",
+                DSE_JOB,
+                "max_bandwidth",
+                protocol.MAX_BANDWIDTH_CAP,
+                dict(max_pes=10**15),
+            ),
+        ],
+    )
+    def test_work_size_capped(self, kind, job, field, cap, other_out_of_range):
+        assert protocol.validate(kind, dict(job, **{field: cap}))[field] == cap
+        with pytest.raises(HttpError) as capped:
+            protocol.validate(kind, dict(job, **{field: 10**15}))
+        with pytest.raises(HttpError) as other:
+            protocol.validate(kind, dict(job, **other_out_of_range))
+        assert field in capped.value.message
+        assert capped.value.status == other.value.status == 400
 
     def test_malformed_body_400(self, server):
         import socket
