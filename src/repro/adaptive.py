@@ -11,8 +11,8 @@ one per layer under the chosen metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Hashable, List, Mapping, Tuple
 
 from repro.dataflow.dataflow import Dataflow
 from repro.engines.analysis import LayerAnalysis, analyze_layer
@@ -64,22 +64,36 @@ class AdaptiveAnalysis:
         return histogram
 
 
-def adaptive_analysis(
+def select_per_layer(
     network: Network,
     dataflows: Mapping[str, Dataflow],
     accelerator: Accelerator,
-    metric: str = "runtime",
-    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
-) -> AdaptiveAnalysis:
-    """Pick the best dataflow per layer; see the module docstring."""
+    energy_model: EnergyModel,
+    metric: str,
+    unbound: str = "no candidate dataflow binds to layer {!r}",
+) -> List[AdaptiveChoice]:
+    """The best dataflow per layer under ``metric``, in network order.
+
+    Candidates that fail to bind are skipped; ties keep the earlier
+    candidate. Each distinct layer shape (:meth:`Layer.shape_key`) is
+    evaluated once and its choice reused, renamed, for later layers of
+    that shape. A layer no candidate binds to raises
+    :class:`DataflowError` with ``unbound`` formatted with its name.
+    """
     try:
         score = METRICS[metric]
     except KeyError:
         raise KeyError(f"unknown metric {metric!r}; available: {sorted(METRICS)}")
 
+    by_shape: Dict[Hashable, AdaptiveChoice] = {}
     choices: List[AdaptiveChoice] = []
     for layer in network.layers:
-        best: Optional[AdaptiveChoice] = None
+        key = layer.shape_key()
+        best = by_shape.get(key)
+        if best is not None:
+            report = replace(best.report, layer_name=layer.name)
+            choices.append(replace(best, layer_name=layer.name, report=report))
+            continue
         for name, dataflow in dataflows.items():
             try:
                 report = analyze_layer(layer, dataflow, accelerator, energy_model)
@@ -90,10 +104,21 @@ def adaptive_analysis(
                     layer_name=layer.name, dataflow_name=name, report=report
                 )
         if best is None:
-            raise DataflowError(
-                f"no candidate dataflow binds to layer {layer.name!r}"
-            )
+            raise DataflowError(unbound.format(layer.name))
+        by_shape[key] = best
         choices.append(best)
+    return choices
+
+
+def adaptive_analysis(
+    network: Network,
+    dataflows: Mapping[str, Dataflow],
+    accelerator: Accelerator,
+    metric: str = "runtime",
+    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
+) -> AdaptiveAnalysis:
+    """Pick the best dataflow per layer; see the module docstring."""
+    choices = select_per_layer(network, dataflows, accelerator, energy_model, metric)
     return AdaptiveAnalysis(
         network_name=network.name, metric=metric, choices=tuple(choices)
     )

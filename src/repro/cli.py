@@ -55,13 +55,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.adaptive import adaptive_analysis
 from repro.dataflow.dataflow import Dataflow
 from repro.dataflow.library import table3_dataflows
 from repro.dataflow.parser import parse_dataflow
-from repro.engines.analysis import analyze_layer
+from repro.engines.analysis import LayerAnalysis, analyze_by_shape, analyze_layer
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.model.zoo import MODELS, build
 from repro.util.text_table import format_table
@@ -259,9 +259,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print()
         return 0
     rows = []
+    memo: Dict[Hashable, LayerAnalysis] = {}  # one report per layer shape
     for layer in layers:
         try:
-            report = analyze_layer(layer, dataflow, accelerator)
+            report = analyze_by_shape(memo, layer, dataflow, accelerator)
         except Exception as error:  # surfaced per-layer, sweep continues
             rows.append([layer.name, "-", "-", "-", "-", f"error: {error}"])
             continue

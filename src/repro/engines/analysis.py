@@ -18,8 +18,8 @@ cluster level outward:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.engines.binding import BoundDataflow, BoundLevel, bind_dataflow
 from repro.engines.reuse import LevelReuse, analyze_level_reuse
@@ -506,6 +506,31 @@ def _analyze_level_performance(
     )
 
 
+def analyze_by_shape(
+    memo: Dict[Hashable, LayerAnalysis],
+    layer: Layer,
+    dataflow: Dataflow,
+    accelerator: Accelerator,
+    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
+) -> LayerAnalysis:
+    """:func:`analyze_layer`, reusing an earlier report of the same shape.
+
+    ``memo`` maps :meth:`Layer.shape_key` to the report of the first
+    layer of that shape; scope it to one (dataflow, accelerator, energy
+    model). A later layer of the shape gets that report renamed, which
+    equals what :func:`analyze_layer` would return for it; the two
+    reports share their (read-only) mapping fields. Only reports are
+    stored: a shape that fails is analyzed again for each layer, so
+    every error names its own layer.
+    """
+    key = layer.shape_key()
+    report = memo.get(key)
+    if report is not None:
+        return replace(report, layer_name=layer.name)
+    report = memo[key] = analyze_layer(layer, dataflow, accelerator, energy_model)
+    return report
+
+
 def analyze_network(
     network: Network,
     dataflow: Dataflow,
@@ -513,12 +538,18 @@ def analyze_network(
     energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
     layers: Optional[List[str]] = None,
 ) -> NetworkAnalysis:
-    """Analyze every (or the named) layer of a network under one dataflow."""
+    """Analyze every (or the named) layer of a network under one dataflow.
+
+    Each distinct layer shape is analyzed once; see :func:`analyze_by_shape`.
+    """
     reports = []
+    memo: Dict[Hashable, LayerAnalysis] = {}
     for layer in network.layers:
         if layers is not None and layer.name not in layers:
             continue
-        reports.append(analyze_layer(layer, dataflow, accelerator, energy_model))
+        reports.append(
+            analyze_by_shape(memo, layer, dataflow, accelerator, energy_model)
+        )
     return NetworkAnalysis(
         network_name=network.name,
         dataflow_name=dataflow.name,

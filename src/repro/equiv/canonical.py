@@ -42,7 +42,9 @@ canonicalization never groups mappings it cannot certify.
 The canonical :attr:`CanonicalForm.key` is accelerator-independent
 (chunk counts never depend on the PE count; only fold counts do, and
 folds are not part of the key), which lets DSE group mapping variants
-once per layer and reuse the grouping across the whole hardware grid.
+once per layer and reuse the grouping across the whole hardware grid:
+:func:`repro.exec.cache.cache_keys` computes each (dataflow, layer)
+canonical form once per batch and reuses it for every hardware point.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ evaluation point:
   for shared entries the backend restores the requesting mapping's name
   on every hit;
 - the full hardware configuration and energy model;
-- a model-version salt hashed from the source of the cost-model modules,
-  so any change to the engines invalidates every stale entry
-  automatically.
+- a model-version salt hashed from the code of the cost-model modules
+  (docstrings and comments excluded), so any code change to the engines
+  invalidates every stale entry automatically.
 
 :func:`canonical_point_payload` is the readable specification of that
 payload. Keys are built a batch at a time by :func:`cache_keys`, which
@@ -40,6 +40,7 @@ directory drops exactly one model version's entries.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import logging
@@ -91,19 +92,37 @@ def _salt_source_files() -> List[Path]:
     return files
 
 
-def model_version_salt() -> str:
-    """A short hash of the cost-model source: the cache-version salt.
+def code_fingerprint(source: str) -> str:
+    """The code of one module as the salt sees it.
 
-    Any edit to the engines (or the modules they build on) changes the
-    salt, so entries computed by older model code can never be returned
-    for a new one. Computed once per process.
+    The dump of its syntax tree with every module, class and function
+    docstring removed. Comments, blank lines and line numbers never
+    reach the dump, so documentation-only edits leave it unchanged. The
+    dump's format may differ between Python versions, which only moves
+    the salt.
+    """
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                node.body = node.body[1:] or [ast.Pass()]
+    return ast.dump(tree)
+
+
+def model_version_salt() -> str:
+    """A short hash of the cost-model code: the cache-version salt.
+
+    Any code edit to the engines (or the modules they build on) changes
+    the salt, so entries computed by older model code can never be
+    returned for a new one; edits to docstrings and comments do not
+    (:func:`code_fingerprint`). Computed once per process.
     """
     global _salt_cache
     if _salt_cache is None:
         digest = hashlib.sha256()
         for path in _salt_source_files():
             digest.update(path.name.encode())
-            digest.update(path.read_bytes())
+            digest.update(code_fingerprint(path.read_text(encoding="utf-8")).encode())
         _salt_cache = digest.hexdigest()[:12]
     return _salt_cache
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.errors import LayerError
 from repro.tensors import dims as D
@@ -118,6 +118,23 @@ class Layer:
                 self.groups,
                 dict(self.densities),
             ),
+        )
+
+    def shape_key(self) -> Tuple[Hashable, ...]:
+        """A hashable key of everything the analysis reads, except the name.
+
+        Two layers with equal keys get the same
+        :func:`~repro.engines.analysis.analyze_layer` report up to
+        ``layer_name``, so a network analysis evaluates each distinct
+        shape once.
+        """
+        return (
+            self.operator,
+            tuple(self.dims.items()),
+            self.stride,
+            self.dilation,
+            self.groups,
+            tuple(sorted(self.densities.items())),
         )
 
     # ------------------------------------------------------------------

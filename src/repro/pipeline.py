@@ -19,12 +19,12 @@ the network level. This module layers that analysis on top of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 from repro import obs
 from repro.dataflow.dataflow import Dataflow
-from repro.engines.analysis import LayerAnalysis, analyze_layer
-from repro.errors import BindingError, DataflowError
+from repro.adaptive import select_per_layer
+from repro.engines.analysis import LayerAnalysis
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.model.network import Network
@@ -91,17 +91,20 @@ def schedule_network(
     set, in which case the best per layer under ``metric`` is selected
     (the Figure 10(f) adaptive approach).
     """
+    if isinstance(dataflows, Dataflow):
+        dataflows = {dataflows.name: dataflows}
     with obs.span("pipeline.select", network=network.name, metric=metric):
-        reports = _select_reports(
-            network, dataflows, accelerator, energy_model, metric
+        choices = select_per_layer(
+            network, dataflows, accelerator, energy_model, metric,
+            unbound="no dataflow binds to layer {!r}",
         )
 
     with obs.span("pipeline.schedule", network=network.name):
         entries: List[LayerSchedule] = []
         previous_output_elements: Optional[float] = None
         l2_capacity = accelerator.l2_size  # None = unconstrained (fits)
-        for index, layer in enumerate(network.layers):
-            dataflow_name, report = reports[layer.name]
+        for index, choice in enumerate(choices):
+            report = choice.report
             input_resident = False
             saved = 0.0
             if index > 0 and previous_output_elements is not None:
@@ -122,8 +125,8 @@ def schedule_network(
                     saved = previous_output_elements + consumed
             entries.append(
                 LayerSchedule(
-                    layer_name=layer.name,
-                    dataflow_name=dataflow_name,
+                    layer_name=choice.layer_name,
+                    dataflow_name=choice.dataflow_name,
                     report=report,
                     input_resident=input_resident,
                     dram_bytes_saved=saved,
@@ -136,37 +139,3 @@ def schedule_network(
         layers=tuple(entries),
         energy_model=energy_model,
     )
-
-
-def _select_reports(
-    network: Network,
-    dataflows: DataflowChoice,
-    accelerator: Accelerator,
-    energy_model: EnergyModel,
-    metric: str,
-) -> Dict[str, Tuple[str, LayerAnalysis]]:
-    if isinstance(dataflows, Dataflow):
-        candidates: Mapping[str, Dataflow] = {dataflows.name: dataflows}
-    else:
-        candidates = dataflows
-    from repro.adaptive import METRICS
-
-    try:
-        score = METRICS[metric]
-    except KeyError:
-        raise KeyError(f"unknown metric {metric!r}; available: {sorted(METRICS)}")
-
-    reports: Dict[str, Tuple[str, LayerAnalysis]] = {}
-    for layer in network.layers:
-        best: Optional[Tuple[str, LayerAnalysis]] = None
-        for name, flow in candidates.items():
-            try:
-                report = analyze_layer(layer, flow, accelerator, energy_model)
-            except (BindingError, DataflowError):
-                continue
-            if best is None or score(report) < score(best[1]):
-                best = (name, report)
-        if best is None:
-            raise DataflowError(f"no dataflow binds to layer {layer.name!r}")
-        reports[layer.name] = best
-    return reports

@@ -44,3 +44,23 @@ def accelerator():
 @pytest.fixture
 def accelerator_256():
     return Accelerator(num_pes=256, noc=NoC(bandwidth=32, avg_latency=2))
+
+
+@pytest.fixture(scope="session")
+def failing_repeat_network():
+    """A network with a repeated shape that YR-P cannot bind on 8 PEs.
+
+    ``big1``/``big2`` share a shape whose ``Cluster(Sz(R))`` needs 11
+    PEs; ``small1``/``small2`` share one that binds.
+    """
+    from repro.model.network import Network
+
+    return Network(
+        name="repeat",
+        layers=(
+            conv2d("small1", k=8, c=4, y=12, x=12, r=3, s=3),
+            conv2d("big1", k=8, c=4, y=24, x=24, r=11, s=11),
+            conv2d("small2", k=8, c=4, y=12, x=12, r=3, s=3),
+            conv2d("big2", k=8, c=4, y=24, x=24, r=11, s=11),
+        ),
+    )

@@ -234,3 +234,107 @@ class TestOperatorCoverage:
         layer = build("dcgan").layer("CONV2")
         report = analyze_layer(layer, kc_partitioned(c_tile=16), Accelerator(num_pes=64))
         assert report.runtime > 0
+
+
+class TestShapeMemo:
+    """``analyze_network`` analyzes each distinct layer shape once."""
+
+    @pytest.mark.parametrize("model", ["alexnet", "dcgan", "lstm", "mobilenet_v2",
+                                       "resnet50", "resnext50", "unet", "vgg16"])
+    def test_reports_equal_per_layer_analysis(self, model):
+        from repro.model.zoo import build
+
+        network = build(model)
+        acc = Accelerator(num_pes=256, noc=NoC(bandwidth=32))
+        for name, flow in ALL_DATAFLOWS:
+            expected = tuple(analyze_layer(layer, flow, acc) for layer in network.layers)
+            result = analyze_network(network, flow, acc)
+            assert result.layer_reports == expected, (model, name)
+            assert [r.layer_name for r in result.layer_reports] == [
+                layer.name for layer in network.layers
+            ]
+
+    def test_analyze_layer_runs_once_per_distinct_shape(self, monkeypatch):
+        from repro.engines import analysis
+        from repro.model.zoo import build
+
+        calls = []
+        original = analysis.analyze_layer
+
+        def counting(layer, *args, **kwargs):
+            calls.append(layer.name)
+            return original(layer, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "analyze_layer", counting)
+        network = build("resnet50")
+        result = analyze_network(network, kc_partitioned(), Accelerator(num_pes=256))
+        assert len(result.layer_reports) == len(network.layers) == 71
+        assert len(calls) == len({layer.shape_key() for layer in network.layers}) == 29
+
+    def test_repeated_failing_shape_names_each_layer(self, failing_repeat_network):
+        from repro.engines.analysis import analyze_by_shape
+        from repro.errors import BindingError
+
+        network = failing_repeat_network
+        flow, acc = yr_partitioned(), Accelerator(num_pes=8)
+        memo = {}
+        for layer in network.layers:
+            if layer.name.startswith("small"):
+                assert analyze_by_shape(memo, layer, flow, acc).layer_name == layer.name
+                continue
+            with pytest.raises(BindingError, match=f"on {layer.name}:"):
+                analyze_by_shape(memo, layer, flow, acc)
+        with pytest.raises(BindingError, match="on big1:"):
+            analyze_network(network, flow, acc)
+        with pytest.raises(BindingError, match="on big2:"):
+            analyze_network(network, flow, acc, layers=["small1", "small2", "big2"])
+
+    def test_cli_table_rows_name_their_own_layer(
+        self, failing_repeat_network, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "build", lambda name: failing_repeat_network)
+        assert cli.main(["analyze", "--model", "vgg16", "--dataflow", "YR-P",
+                         "--pes", "8"]) == 0
+        rows = {
+            line.split("|")[0].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+            if "|" in line
+        }
+        for name in ("big1", "big2"):
+            assert f"error: YR-P on {name}: cluster hierarchy" in rows[name]
+        for name in ("small1", "small2"):
+            assert "error" not in rows[name]
+
+
+class TestShapeKey:
+    BASE = dict(k=8, c=4, y=12, x=12, r=3, s=3)
+
+    def test_equal_for_layers_differing_only_in_name(self):
+        assert conv2d("a", **self.BASE).shape_key() == conv2d("b", **self.BASE).shape_key()
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {"k": 16},
+            {"y": 14},
+            {"stride": 2},
+            {"groups": 2},
+            {"densities": {"I": 0.5}},
+        ],
+    )
+    def test_differs_with_any_shape_field(self, variant):
+        assert (
+            conv2d("a", **{**self.BASE, **variant}).shape_key()
+            != conv2d("a", **self.BASE).shape_key()
+        )
+
+    def test_differs_with_operator_and_dilation(self):
+        import dataclasses
+
+        from repro.tensors.operators import TRCONV
+
+        base = conv2d("a", **self.BASE)
+        assert dataclasses.replace(base, operator=TRCONV).shape_key() != base.shape_key()
+        assert dataclasses.replace(base, dilation=(1, 2)).shape_key() != base.shape_key()

@@ -46,7 +46,7 @@ from repro.exec import (
     model_version_salt,
     resolve_cache,
 )
-from repro.exec.cache import canonical_directives
+from repro.exec.cache import canonical_directives, code_fingerprint
 from repro.hardware.accelerator import Accelerator, NoC
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL
 from repro.hetero import SubAccelerator, analyze_heterogeneous
@@ -357,6 +357,39 @@ class TestCacheKeyProperties:
         )
         assert payload["salt"] == model_version_salt()
         assert len(model_version_salt()) == 12
+
+    def test_salt_fingerprint_ignores_docstrings_and_comments(self):
+        source = (
+            '"""Module doc."""\n'
+            "SCALE = 2  # a comment\n\n"
+            "class Engine:\n"
+            '    """Class doc."""\n\n'
+            "    def run(self, x):\n"
+            '        """Method doc."""\n'
+            "        return x * SCALE\n\n"
+            "def only_doc():\n"
+            '    """Nothing else."""\n'
+        )
+        edited = (
+            '"""A rewritten module doc,\nover two lines."""\n'
+            "# a new comment\n"
+            "SCALE = 2\n\n\n"
+            "class Engine:\n"
+            "    def run(self, x):\n"
+            '        """Another method doc."""\n'
+            "        # why we scale\n"
+            "        return x * SCALE\n\n"
+            "def only_doc():\n"
+            "    pass\n"
+        )
+        assert code_fingerprint(source) == code_fingerprint(edited)
+        assert code_fingerprint(source) != code_fingerprint(
+            source.replace("SCALE = 2", "SCALE = 3")
+        )
+        # A string that is not a docstring is code.
+        assert code_fingerprint(source) != code_fingerprint(
+            source.replace("SCALE = 2", 'SCALE = 2\n"""not a docstring"""')
+        )
 
 
 # ----------------------------------------------------------------------

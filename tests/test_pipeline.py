@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.dataflow.library import kc_partitioned, table3_dataflows, yx_partitioned
+from repro.dataflow.library import (
+    kc_partitioned,
+    table3_dataflows,
+    yr_partitioned,
+    yx_partitioned,
+)
+from repro.errors import DataflowError
 from repro.hardware.accelerator import Accelerator
 from repro.model.layer import conv2d, fc
 from repro.model.network import Network
 from repro.model.zoo import build
 from repro.pipeline import schedule_network
+from tests.test_adaptive import per_layer_choices
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +106,33 @@ class TestRealNetwork:
             network, kc_partitioned(c_tile=16), Accelerator(num_pes=64)
         )
         assert schedule.runtime > 0
+
+
+class TestShapeMemo:
+    """Selection evaluates each distinct shape once; choices are unchanged."""
+
+    @pytest.mark.parametrize("metric", ["runtime", "energy"])
+    def test_choices_match_per_layer_selection(self, metric):
+        network = build("resnet50")
+        flows = table3_dataflows()
+        acc = Accelerator(num_pes=256, l2_size=1 << 20)
+        schedule = schedule_network(network, flows, acc, metric=metric)
+        assert [
+            (entry.layer_name, entry.dataflow_name, entry.report)
+            for entry in schedule.layers
+        ] == per_layer_choices(network, flows, acc, metric)
+
+    def test_repeated_failing_candidate_is_skipped(self, failing_repeat_network):
+        flows = {"YR-P": yr_partitioned(), "KC-P": kc_partitioned(c_tile=4)}
+        acc = Accelerator(num_pes=8)
+        schedule = schedule_network(failing_repeat_network, flows, acc)
+        assert [
+            (entry.layer_name, entry.dataflow_name, entry.report)
+            for entry in schedule.layers
+        ] == per_layer_choices(failing_repeat_network, flows, acc, "runtime")
+
+    def test_no_binding_dataflow_names_the_layer(self, failing_repeat_network):
+        with pytest.raises(DataflowError, match="^no dataflow binds to layer 'big1'"):
+            schedule_network(
+                failing_repeat_network, yr_partitioned(), Accelerator(num_pes=8)
+            )
